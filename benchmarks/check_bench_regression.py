@@ -1,14 +1,18 @@
 #!/usr/bin/env python
 """CI perf-regression gate: re-run a benchmark subset against BENCH_*.json.
 
-The repository commits four benchmark trajectories at the repo root:
+The repository commits six benchmark trajectories at the repo root:
 
 * ``BENCH_optassign_scaling.json`` — scalar vs vectorized greedy OPTASSIGN;
 * ``BENCH_optassign_delta.json``   — incremental delta solve vs full re-solve;
 * ``BENCH_fleet_scaling.json``     — per-tenant loop vs stacked fleet solve;
-* ``BENCH_engine_online.json``     — online engine bills per policy.
+* ``BENCH_engine_online.json``     — online engine bills per policy;
+* ``BENCH_chaos_overhead.json``    — chaos injector cost on calm runs;
+* ``BENCH_stream_ingest.json``     — flat-memory streaming ingest.
 
-This script re-runs a small, representative subset of each sweep on the
+The chaos-overhead file is recorded only: ``bench_chaos_overhead.py``
+asserts its own calm-run bill identity.  For every other file this script
+re-runs a small, representative subset of the sweep on the
 current checkout and fails (non-zero exit) when the code has regressed
 against the committed baseline:
 

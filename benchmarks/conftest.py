@@ -5,8 +5,8 @@ the relevant workload, runs the module(s) under study, *prints* the rows or
 series the paper reports (so ``pytest benchmarks/ --benchmark-only -s`` shows
 them), and wraps the core computation in ``benchmark()`` so pytest-benchmark
 records its runtime.  Absolute numbers differ from the paper (the substrate is
-a laptop-scale simulator, see DESIGN.md), but the comparisons — who wins, by
-roughly what factor — are asserted where the paper makes a qualitative claim.
+a laptop-scale simulator), but the comparisons — who wins, by roughly what
+factor — are asserted where the paper makes a qualitative claim.
 """
 
 from __future__ import annotations

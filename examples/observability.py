@@ -55,7 +55,7 @@ REQUIRED_PHASES = (
     "optassign.greedy",
     "optassign.repair_capacity",
     "optassign.repair_pools",
-    "fleet.epoch",
+    "fleet.window",
     "fleet.build_problem",
     "fleet.stack",
     "fleet.solve",
@@ -196,12 +196,12 @@ def main(argv: list[str] | None = None) -> None:
     print(f"\ncapacitated solve over {count} partitions:\n")
     print(obs.render_span_tree(solver_spans))
 
-    # The span tree of one epoch that actually re-optimized: fleet.epoch ->
+    # The span tree of one epoch that actually re-optimized: fleet.window ->
     # build/stack/solve/apply plus the thread-pooled per-tenant settles.
     fleet_epochs = [
         record
         for record in snap.spans
-        if record.name == "fleet.epoch" and record.attrs.get("num_reoptimized", 0)
+        if record.name == "fleet.window" and record.attrs.get("num_reoptimized", 0)
     ]
     drifted = fleet_epochs[-1]  # the post-drift re-arbitration epoch
     epoch_spans = [
@@ -212,7 +212,7 @@ def main(argv: list[str] | None = None) -> None:
         and _has_ancestor(snap.spans, record, drifted.span_id)
     ]
     print(
-        f"\nfleet epoch {drifted.attrs['epoch']} "
+        f"\nfleet epoch {drifted.attrs['index']} "
         f"(re-optimized {drifted.attrs['num_reoptimized']} tenants):\n"
     )
     print(obs.render_span_tree(epoch_spans))

@@ -1,8 +1,19 @@
-"""Setuptools shim so editable installs work in offline environments.
+"""Package metadata for ``pip install -e .`` (src/ layout).
 
-All project metadata lives in pyproject.toml / setup.cfg; this file only
-exists because the offline environment cannot run isolated PEP 517 builds.
+Plain setuptools metadata with no ``pyproject.toml`` build isolation, so an
+editable install works offline with the toolchain already present.
 """
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="0.1.0",
+    description=(
+        "SCOPe reproduction: data partitioning, compression-ratio prediction "
+        "and OPTASSIGN tier-and-codec placement for cloud storage"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+    install_requires=["numpy", "scipy"],
+)

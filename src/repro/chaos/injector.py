@@ -4,8 +4,8 @@
 :class:`~repro.chaos.DisruptionSchedule` and the hosts that honour it — an
 :class:`~repro.engine.OnlineTieringEngine` or a
 :class:`~repro.fleet.FleetScheduler`.  The hosts call a small fixed hook
-surface at their epoch boundaries (``before_engine_epoch`` /
-``before_fleet_epoch``, ``take_forced_tenants``, ``degrade_fleet_solve``,
+surface at their window boundaries (``before_engine_window`` /
+``before_fleet_window``, ``take_forced_tenants``, ``degrade_fleet_solve``,
 ``record_frozen_placement``, ``note_migration``, ``note_relaxation``);
 everything else — outage bookkeeping, affinity lifting, catalog re-pricing,
 pool resizing, tenant churn, DegradationReport accumulation and ``chaos.*``
@@ -156,12 +156,12 @@ class ChaosInjector:
         ]
         return engine.lift_provider_affinity(stranded)
 
-    def _apply_outage(self, engines: dict, catalog, epoch: int, event) -> None:
+    def _apply_outage(self, engines: dict, catalog, epoch: int, event) -> bool:
         """Ban the provider's tiers on every engine; mark evacuating tenants.
 
         ``engines`` maps tenant name -> engine; the single-engine host
         passes ``{"": engine}`` and the empty tenant tag is stripped from
-        recorded partition names.
+        recorded partition names.  Returns True when residents must evacuate.
         """
         dead = self._dead_tiers(catalog, event.provider)
         self._outages[event.provider] = tuple(dead)
@@ -209,7 +209,7 @@ class ChaosInjector:
                 metrics.counter("chaos.evacuated_partitions").add(
                     len(evacuating)
                 )
-        self._evacuating = bool(evacuating)
+        return bool(evacuating)
 
     def _apply_recovery(self, engines: dict, catalog, epoch: int, event) -> None:
         if event.provider not in self._outages:
@@ -260,23 +260,35 @@ class ChaosInjector:
                 catalog, affected, decreased=event.decreased
             )
 
-    # -- engine host -------------------------------------------------------------
-    def before_engine_epoch(self, engine, epoch: int) -> bool:
-        """Apply the epoch's events to a single engine.
+    # -- window boundaries -------------------------------------------------------
+    @staticmethod
+    def _epochs_in_window(start_month: float, end_month: float) -> range:
+        """Integer schedule epochs falling inside ``[start_month, end_month)``.
 
-        Returns True when the engine must re-optimize this epoch regardless
-        of its policy (a forced evacuation is pending).
+        Disruption schedules stay keyed by integer (month) epochs; a
+        disruption fires in whichever window's span covers its month mark.
+        Half-open windows apply each mark exactly once, and the month-aligned
+        window ``[e, e + 1)`` holds exactly the mark ``e``.
+        """
+        return range(math.ceil(start_month), math.ceil(end_month))
+
+    def _apply_mark(self, epoch: int, engines: dict, catalog, scheduler=None) -> bool:
+        """Apply the events scheduled at month mark ``epoch``, in order.
+
+        ``engines`` maps tenant name -> engine (``{"": engine}`` for the
+        single-engine host); ``scheduler`` is the fleet host, or None.
+        Returns True when an outage left residents to evacuate.
         """
         self._epoch = epoch
         events = self.schedule.at(epoch)
         if not events:
             return False
-        force = False
+        evacuating = False
         tracer = get_tracer()
         metrics = get_metrics()
         with tracer.span("chaos.apply", epoch=epoch, events=len(events)):
             for event in events:
-                if isinstance(event, _FLEET_ONLY):
+                if scheduler is None and isinstance(event, _FLEET_ONLY):
                     raise ValueError(
                         f"{event.kind} events are fleet-level; attach the "
                         "injector to a FleetScheduler instead of a bare engine"
@@ -284,36 +296,31 @@ class ChaosInjector:
                 with tracer.span("chaos.event", kind=event.kind, epoch=epoch):
                     self.report_for(epoch).events.append(event.describe())
                     if isinstance(event, ProviderOutage):
-                        self._apply_outage({"": engine}, engine.tiers, epoch, event)
-                        force = force or self._evacuating
+                        evacuating = (
+                            self._apply_outage(engines, catalog, epoch, event)
+                            or evacuating
+                        )
                     elif isinstance(event, ProviderRecovery):
-                        self._apply_recovery({"": engine}, engine.tiers, epoch, event)
+                        self._apply_recovery(engines, catalog, epoch, event)
                     elif isinstance(event, PriceShock):
                         self._apply_price_shock(
-                            [engine], engine.tiers, None, epoch, event
+                            engines.values(),
+                            catalog,
+                            None if scheduler is None else scheduler._delta,
+                            epoch,
+                            event,
                         )
-                    else:  # pragma: no cover - closed taxonomy
-                        raise TypeError(f"unhandled event {event!r}")
+                    else:
+                        self._apply_fleet_event(scheduler, epoch, event)
                 if metrics.enabled:
                     metrics.counter("chaos.events", kind=event.kind).add(1)
-        return force
+        return evacuating
 
-    @staticmethod
-    def _epochs_in_window(start_month: float, end_month: float) -> range:
-        """Integer schedule epochs falling inside ``[start_month, end_month)``.
-
-        Disruption schedules stay keyed by integer (month) epochs; on the
-        epoch-free timeline a disruption fires in whichever window's span
-        covers its month mark.  Half-open windows apply each mark exactly
-        once, and month-aligned windows recover the dense ordering exactly.
-        """
-        return range(math.ceil(start_month), math.ceil(end_month))
-
+    # -- engine host -------------------------------------------------------------
     def before_engine_window(
         self, engine, index: int, start_month: float, end_month: float
     ) -> bool:
-        """Event-time disruption triggering: the windowed twin of
-        :meth:`before_engine_epoch`.
+        """Apply to a single engine every disruption due in the window.
 
         Applies every scheduled disruption whose integer epoch mark lies
         inside the window's ``[start_month, end_month)`` span, in mark order.
@@ -322,11 +329,11 @@ class ChaosInjector:
         """
         force = False
         for epoch in self._epochs_in_window(start_month, end_month):
-            force = self.before_engine_epoch(engine, epoch) or force
+            force = self._apply_mark(epoch, {"": engine}, engine.tiers) or force
         return force
 
     def record_frozen_placement(self, engine, epoch: int, error) -> None:
-        """The engine's solve failed; the epoch bills at the frozen layout."""
+        """The engine's solve failed; the window bills at the frozen layout."""
         self._record_action(
             epoch,
             DegradationAction(
@@ -336,54 +343,28 @@ class ChaosInjector:
         )
 
     # -- fleet host --------------------------------------------------------------
-    def before_fleet_epoch(self, scheduler, epoch: int) -> None:
-        """Apply the epoch's events to the whole fleet (roster may change)."""
-        self._epoch = epoch
-        events = self.schedule.at(epoch)
-        if not events:
-            return
-        tracer = get_tracer()
-        metrics = get_metrics()
-        with tracer.span("chaos.apply", epoch=epoch, events=len(events)):
-            for event in events:
-                with tracer.span("chaos.event", kind=event.kind, epoch=epoch):
-                    self.report_for(epoch).events.append(event.describe())
-                    self._apply_fleet_event(scheduler, epoch, event)
-                if metrics.enabled:
-                    metrics.counter("chaos.events", kind=event.kind).add(1)
-
     def before_fleet_window(
         self, scheduler, index: int, start_month: float, end_month: float
     ) -> None:
-        """Event-time disruption triggering for the fleet host.
+        """Apply to the whole fleet every disruption due in the window.
 
         Applies every scheduled disruption whose integer epoch mark lies in
-        ``[start_month, end_month)``, in mark order — the windowed twin of
-        :meth:`before_fleet_epoch`.  ``TenantJoin`` specs carry dense epoch
-        streams; on the windowed timeline the joiner is admitted with no
-        stream and settles empty windows until its own events arrive (the
-        scheduler's windowed path documents this contract).
+        ``[start_month, end_month)``, in mark order; the roster may change.
+        ``TenantJoin`` specs carry dense epoch streams: a dense fleet run
+        pulls the joiner's batches from them, while on a trigger-windowed
+        timeline the joiner settles empty windows (the scheduler's
+        :meth:`~repro.fleet.FleetScheduler.step_window` contract).
         """
         for epoch in self._epochs_in_window(start_month, end_month):
-            self.before_fleet_epoch(scheduler, epoch)
+            # scheduler.engines is updated in place by churn, so later
+            # events at the same mark see the current roster.
+            self._apply_mark(epoch, scheduler.engines, scheduler.tiers, scheduler)
 
     def _apply_fleet_event(
         self, scheduler, epoch: int, event: DisruptionEvent
     ) -> None:
-        catalog = scheduler.tiers
-        if isinstance(event, ProviderOutage):
-            self._apply_outage(scheduler.engines, catalog, epoch, event)
-        elif isinstance(event, ProviderRecovery):
-            self._apply_recovery(scheduler.engines, catalog, epoch, event)
-        elif isinstance(event, PriceShock):
-            self._apply_price_shock(
-                scheduler.engines.values(),
-                catalog,
-                scheduler._delta,
-                epoch,
-                event,
-            )
-        elif isinstance(event, PoolShock):
+        """Apply one fleet-only event: a pool shock or tenant churn."""
+        if isinstance(event, PoolShock):
             pools = scheduler.pools
             if pools is None:
                 raise ValueError(
@@ -407,7 +388,7 @@ class ChaosInjector:
             # The joiner enters the current world: active outages apply.
             if self._outages:
                 engine.set_banned_tiers(self.banned_tiers)
-                self._lift_stranded(engine, catalog)
+                self._lift_stranded(engine, scheduler.tiers)
         elif isinstance(event, TenantLeave):
             scheduler.remove_tenant(event.tenant)  # raises KeyError if unknown
             self._forced_tenants.discard(event.tenant)

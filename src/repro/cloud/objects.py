@@ -17,6 +17,7 @@ construct in the millions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -100,12 +101,21 @@ class DataPartition:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("partition name must be non-empty")
-        if self.size_gb < 0:
-            raise ValueError("size_gb must be non-negative")
-        if self.predicted_accesses < 0:
-            raise ValueError("predicted_accesses must be non-negative")
-        if self.latency_threshold_s < 0:
-            raise ValueError("latency_threshold_s must be non-negative")
+        # Chained comparisons are False for NaN, so they reject it too.
+        if not 0.0 <= self.size_gb < math.inf:
+            raise ValueError(
+                f"size_gb must be finite and non-negative, got {self.size_gb!r}"
+            )
+        if not 0.0 <= self.predicted_accesses < math.inf:
+            raise ValueError(
+                "predicted_accesses must be finite and non-negative, got "
+                f"{self.predicted_accesses!r}"
+            )
+        if not 0.0 <= self.latency_threshold_s <= math.inf:
+            raise ValueError(
+                "latency_threshold_s must be non-negative (inf for no SLA), "
+                f"got {self.latency_threshold_s!r}"
+            )
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ValueError("read_fraction must be in [0, 1]")
         if not 0.0 <= self.pushdown_fraction <= 1.0:

@@ -13,6 +13,7 @@ be counted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -47,10 +48,14 @@ class AccessEvent:
     reads: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.month < 0:
-            raise ValueError("month must be non-negative")
-        if self.reads < 0:
-            raise ValueError("reads must be non-negative")
+        # Chained comparisons are False for NaN, so they reject non-finite
+        # values at the cost of one extra comparison per event.
+        if not 0 <= self.month:
+            raise ValueError(f"month must be non-negative, got {self.month!r}")
+        if not 0.0 <= self.reads < math.inf:
+            raise ValueError(
+                f"reads must be finite and non-negative, got {self.reads!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -77,10 +82,14 @@ class TimedEvent:
     tenant: str | None = None
 
     def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValueError("event time must be non-negative")
-        if self.reads < 0:
-            raise ValueError("reads must be non-negative")
+        if not 0.0 <= self.t < math.inf:
+            raise ValueError(
+                f"event time t must be finite and non-negative, got {self.t!r}"
+            )
+        if not 0.0 <= self.reads < math.inf:
+            raise ValueError(
+                f"reads must be finite and non-negative, got {self.reads!r}"
+            )
 
     @property
     def month(self) -> int:

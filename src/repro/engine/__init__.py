@@ -5,16 +5,19 @@ historical trace.  This subpackage turns that into an event-driven,
 rolling-horizon control loop for the production setting where access patterns
 drift and placements must be revisited as new months of telemetry arrive:
 
-* :mod:`repro.engine.events` — epoch-by-epoch event streams (replayed traces,
-  synthetic drifting workloads, dataset catalogs);
+* :mod:`repro.engine.events` — the windows the loop consumes: trigger windows
+  cut from continuous timed-event streams, and dense monthly epoch streams
+  (replayed traces, synthetic drifting workloads, dataset catalogs) that
+  enter as month-aligned windows;
 * :mod:`repro.engine.features` — the incremental sliding-window
-  :class:`FeatureStore` (O(new events) per epoch, not O(trace));
+  :class:`FeatureStore` (O(new events) per window, not O(trace));
 * :mod:`repro.engine.policies` — when to re-optimize: :class:`StaticOnce`
   (batch baseline), :class:`PeriodicReoptimize`, :class:`DriftTriggered`;
 * :mod:`repro.engine.executor` — the :class:`MigrationExecutor` that applies
   placement changes and bills moves and early-deletion penalties;
-* :mod:`repro.engine.engine` — :class:`OnlineTieringEngine`, the loop tying
-  stream -> features -> forecast -> OPTASSIGN -> migration -> simulator.
+* :mod:`repro.engine.engine` — :class:`OnlineTieringEngine`, the one loop
+  tying window -> features -> forecast -> OPTASSIGN -> migration ->
+  simulator.
 
 See ``examples/online_tiering.py`` for a three-policy comparison on a
 drifting workload and ``benchmarks/bench_engine_online.py`` for the

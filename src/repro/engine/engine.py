@@ -1,11 +1,12 @@
 """The online tiering engine: continuous SCOPe over a stream of access events.
 
 :class:`OnlineTieringEngine` wraps the batch components in a rolling-horizon
-control loop.  Per epoch (billing month) it:
+control loop.  Per window — a billing month on the dense grid, or any span a
+trigger closes on a continuous event stream — it:
 
 1. asks its :class:`~repro.engine.policies.TieringPolicy` whether to
    re-optimize, using only causally available information (the previous
-   epoch's observations);
+   window's observations);
 2. on re-optimization, forecasts each partition's monthly access rate from
    the feature store's sliding window (warm-started
    :class:`~repro.core.access_predict.WindowedAccessForecaster`), builds an
@@ -13,9 +14,12 @@ control loop.  Per epoch (billing month) it:
    *current* placement (so the objective's tier-change term prices migrations
    truthfully), solves it, and lets the
    :class:`~repro.engine.executor.MigrationExecutor` apply and bill the moves;
-3. steps the :class:`~repro.cloud.CloudStorageSimulator` one month
-   (storage + the epoch's actual reads) and folds the epoch's events into the
-   :class:`~repro.engine.features.FeatureStore` in O(new events).
+3. bills the window on the :class:`~repro.cloud.CloudStorageSimulator`
+   (storage for its duration + its actual reads) and folds its events into
+   the :class:`~repro.engine.features.FeatureStore` in O(new events).
+
+There is one control loop: a dense epoch batch is stepped as the
+month-aligned window ``[epoch, epoch + 1)`` (:meth:`OnlineTieringEngine.step`).
 
 The resulting :class:`EngineReport` carries the true end-to-end bill —
 storage, reads, decompression, migrations and early-deletion penalties — so
@@ -109,8 +113,14 @@ class EngineConfig:
 
 
 @dataclass
-class EpochRecord:
-    """What one epoch cost and what the engine did during it."""
+class WindowRecord:
+    """What one window cost and what the engine did during it.
+
+    ``epoch`` holds the window's ordinal index (the month on the dense
+    grid); ``start_month`` / ``end_month`` locate the window on the virtual
+    wall clock and ``cause`` names the trigger that closed it (``"time"``
+    for a dense epoch).
+    """
 
     epoch: int
     reoptimized: bool
@@ -124,10 +134,13 @@ class EpochRecord:
     access_count: int
     latency_violations: int
     wall_clock_s: float
+    start_month: float = 0.0
+    end_month: float = 0.0
+    cause: str = ""
 
     @property
     def bill_total(self) -> float:
-        """Everything billed this epoch, in cents."""
+        """Everything billed this window, in cents."""
         return (
             self.storage_cost
             + self.read_cost
@@ -136,25 +149,13 @@ class EpochRecord:
             + self.early_deletion_penalty
         )
 
-
-@dataclass
-class WindowRecord(EpochRecord):
-    """An :class:`EpochRecord` for one epoch-free trigger window.
-
-    ``epoch`` holds the window's ordinal index; ``start_month`` /
-    ``end_month`` locate it on the virtual wall clock and ``cause`` names the
-    trigger that closed it.  Extending :class:`EpochRecord` keeps windowed
-    runs first-class citizens of :class:`EngineReport` (totals, summaries and
-    comparisons work unchanged).
-    """
-
-    start_month: float = 0.0
-    end_month: float = 0.0
-    cause: str = ""
-
     @property
     def duration_months(self) -> float:
         return self.end_month - self.start_month
+
+
+#: A dense epoch's record: the record of its month-aligned window.
+EpochRecord = WindowRecord
 
 
 @dataclass
@@ -162,7 +163,7 @@ class EngineReport:
     """The outcome of running one policy over one stream."""
 
     policy: str
-    records: list[EpochRecord]
+    records: list[WindowRecord]
 
     @property
     def num_epochs(self) -> int:
@@ -305,7 +306,6 @@ class OnlineTieringEngine:
             partition.name: (0.0 if partition.is_new else float("inf"))
             for partition in self._partitions
         }
-        self._last_epoch = -1
         self._last_window = -1
         self._window_clock = 0.0
         self._last_observed: dict[str, float] | None = None
@@ -320,65 +320,31 @@ class OnlineTieringEngine:
 
     # -- the control loop -------------------------------------------------------
     def run(self, stream: Iterable[EpochBatch]) -> EngineReport:
-        """Consume the stream epoch by epoch and return the end-to-end report.
+        """Consume a dense stream epoch by epoch and return the end-to-end report.
 
-        The engine lives on a single continuous timeline: ``run`` may be
-        called again with a stream whose epochs continue the previous one
-        (picking up placement, features, drift observations and residency
-        clocks where they left off).  Once the engine has consumed a batch,
-        epochs must advance by exactly one month — billing, residency clocks
-        and forecast decay all assume a dense monthly timeline, so a gap (or
-        a repeated/earlier epoch) raises *before* anything is billed or
-        migrated and the engine's state is never half-advanced.  Quiet
-        months are modelled as batches with no events (every provided stream
-        yields them), not as skipped epochs.
+        Each batch is stepped as the month-aligned window ``[epoch, epoch +
+        1)`` (see :meth:`step`).  The engine lives on a single continuous
+        timeline: ``run`` may be called again with a stream whose epochs
+        continue the previous one (picking up placement, features, drift
+        observations and residency clocks where they left off).  Epochs must
+        advance by exactly one — billing, residency clocks and forecast decay
+        all assume a gap-free timeline, so a gap (or a repeated/earlier
+        epoch) raises *before* anything is billed or migrated and the
+        engine's state is never half-advanced.  Quiet months are modelled as
+        batches with no events (every provided stream yields them), not as
+        skipped epochs.
         """
         records = [self.step(batch) for batch in stream]
         return EngineReport(policy=self.policy.name, records=records)
 
-    def step(self, batch: EpochBatch) -> EpochRecord:
-        """Consume a single epoch batch: the body of :meth:`run`'s loop.
+    def step(self, batch: EpochBatch) -> WindowRecord:
+        """Consume one dense epoch batch as the window ``[epoch, epoch + 1)``.
 
-        Equivalent to ``begin_epoch`` → (``build_problem`` →
-        ``solve_optassign`` → ``apply_assignment`` when the policy fires) →
-        ``settle``.  External schedulers (the fleet layer) call those hooks
-        individually so the solve can be batched across engines; everything
-        else should call ``step`` or ``run``.
+        A month-aligned window has a duration of exactly 1.0, so storage,
+        reads, the forecaster's inputs and the feature store's cells are the
+        dense month's own numbers.
         """
-        started = monotonic_s()
-        with get_tracer().span("engine.epoch", epoch=batch.epoch) as span:
-            migration: MigrationReport | None = None
-            reoptimized = False
-            force_fire = False
-            if self.chaos is not None:
-                force_fire = self.chaos.before_engine_epoch(self, batch.epoch)
-            if self.begin_epoch(batch.epoch) or force_fire:
-                problem = self.build_problem(batch.epoch)
-                try:
-                    assignment = self.solve_problem(problem)
-                except InfeasibleError as error:
-                    # Graceful degradation is a chaos-run contract only: a calm
-                    # run keeps its loud fail-fast certificates.  With chaos
-                    # attached and a standing placement to fall back on, the
-                    # epoch is billed at the frozen layout and the failure is
-                    # recorded as a structured DegradationReport.
-                    if self.chaos is None or self.placement is None:
-                        raise
-                    self.chaos.record_frozen_placement(self, batch.epoch, error)
-                else:
-                    migration = self.apply_assignment(
-                        batch.epoch, assignment.to_placement()
-                    )
-                    reoptimized = True
-                    if self.chaos is not None:
-                        self.chaos.note_migration(
-                            batch.epoch, migration, self._banned_tiers
-                        )
-            record = self.settle(
-                batch, migration=migration, reoptimized=reoptimized, started=started
-            )
-            span.set(reoptimized=reoptimized)
-        return record
+        return self.step_window(batch.as_window())
 
     def solve_problem(self, problem: OptAssignProblem):
         """Solve a built instance under the configured ``reopt_mode``.
@@ -405,16 +371,6 @@ class OnlineTieringEngine:
             self.last_delta_report = report
             return report.assignment
 
-    # -- the epoch-free control loop ---------------------------------------------
-    # The windowed timeline generalizes the dense monthly grid: trigger
-    # windows (event-count / wall-clock / drift-score, see
-    # :mod:`repro.engine.events`) close batches at arbitrary points of
-    # virtual time.  An engine commits to one timeline on first use — mixing
-    # step() and step_window() raises, because residency clocks, feature
-    # epochs and forecast decay cannot straddle two clocks.  Month-aligned
-    # ``TimeTrigger(1.0)`` windows reproduce the dense path bit-exactly (the
-    # oracle lock in tests/engine/test_windows.py).
-
     def run_stream(
         self,
         events: Iterable[TimedEvent],
@@ -437,7 +393,7 @@ class OnlineTieringEngine:
         last *applied* forecast, closing the loop drift detection needs.
         """
         self._wire_drift_baseline(trigger)
-        records: list[EpochRecord] = [
+        records: list[WindowRecord] = [
             self.step_window(window)
             for window in windowed(
                 events,
@@ -463,7 +419,12 @@ class OnlineTieringEngine:
                 member.baseline_provider = provider
 
     def step_window(self, window: StreamWindow) -> WindowRecord:
-        """Consume one closed trigger window: the epoch-free :meth:`step`.
+        """Consume one closed window: the body of every control loop.
+
+        Equivalent to ``begin_window`` → (``build_problem`` →
+        ``solve_optassign`` → ``apply_assignment`` when the policy fires) →
+        ``settle_window``.  External schedulers (the fleet layer) call those
+        hooks individually so the solve can be batched across engines.
 
         A window whose ``cause`` is ``"drift"`` forces a re-optimization even
         if the policy would not fire — the trigger has already detected drift
@@ -489,6 +450,11 @@ class OnlineTieringEngine:
                 try:
                     assignment = self.solve_problem(problem)
                 except InfeasibleError as error:
+                    # Graceful degradation is a chaos-run contract only: a calm
+                    # run keeps its loud fail-fast certificates.  With chaos
+                    # attached and a standing placement to fall back on, the
+                    # window is billed at the frozen layout and the failure is
+                    # recorded as a structured DegradationReport.
                     if self.chaos is None or self.placement is None:
                         raise
                     self.chaos.record_frozen_placement(self, window.index, error)
@@ -508,25 +474,30 @@ class OnlineTieringEngine:
         get_metrics().counter("engine.window_closes", cause=window.cause).add()
         return record
 
+    # -- external-scheduling hooks ----------------------------------------------
+    # The fleet scheduler (:mod:`repro.fleet`) window-locks many engines and
+    # replaces the per-engine solve with one stacked, pool-arbitrated solve.
+    # Per window it must call, in order: ``begin_window`` (validation + policy
+    # check, no state change), then for firing engines ``build_problem`` and
+    # ``apply_assignment`` with an externally computed placement, then
+    # ``settle_window`` for *every* engine.  ``step_window`` composes exactly
+    # these hooks.
+
     def _validate_window(self, index: int) -> None:
-        """Raise unless ``index`` continues the windowed timeline."""
-        if self._last_epoch >= 0:
-            raise ValueError(
-                "this engine is on the dense monthly timeline (step was "
-                "called); epoch-free window stepping cannot be mixed in — "
-                "the two clocks would disagree"
-            )
+        """Raise unless ``index`` continues the engine's gap-free timeline."""
         if self._last_window >= 0 and index != self._last_window + 1:
             raise ValueError(
-                f"stream windows must be consecutive (got window {index} "
-                f"after {self._last_window}); windowed() yields gap-free "
-                "indices"
+                f"windows must be consecutive (got window {index} after "
+                f"{self._last_window}); dense epochs must advance one month "
+                "at a time — model quiet months as empty batches, not gaps"
             )
 
     def begin_window(self, index: int) -> bool:
         """Validate the window and ask the policy whether to re-optimize.
 
-        The windowed twin of :meth:`begin_epoch`: the policy sees the window
+        Raises before anything is billed or migrated when ``index`` does not
+        continue the engine's timeline.  Mutates no engine state (the policy
+        may update its own drift bookkeeping).  The policy sees the window
         ordinal as its epoch and the previous window's observed *monthly
         rates* (counts scaled by window duration), so periodic policies tick
         per window and drift policies compare rate against forecast rate.
@@ -555,16 +526,16 @@ class OnlineTieringEngine:
         reoptimized: bool = False,
         started: float | None = None,
     ) -> WindowRecord:
-        """Bill one trigger window and fold its events into the engine state.
+        """Bill one window and fold its events into the engine state.
 
-        Storage accrues for exactly ``window.duration_months``; reads are
-        billed per event in stream order (the identical arithmetic to a
-        dense epoch — a month-aligned window settles bit-exactly like
-        :meth:`settle`).  The feature store and forecaster receive observed
+        Storage accrues for exactly ``window.duration_months`` against the
+        (possibly just-changed) placement; reads are billed per event in
+        stream order.  The feature store and forecaster receive observed
         **monthly rates** — window counts divided by the window's duration —
         so windows of different widths remain comparable; for the degenerate
         zero-width flush window raw counts are folded as-is.  Residency
-        clocks advance by the window's fractional duration.
+        clocks advance by the window's duration.  ``migration`` is the report
+        of this window's re-optimization, if one was applied.
         """
         index = window.index
         self._validate_window(index)
@@ -573,6 +544,8 @@ class OnlineTieringEngine:
         with tracer.span(
             "engine.settle", window=index, duration_months=duration
         ):
+            # The compiled placement answers billing queries with vectorized
+            # gathers; it is invalidated whenever a re-optimization moves data.
             if self._compiled is None:
                 self._compiled = self.simulator.compile_placement(
                     self._arrays, self.placement
@@ -597,6 +570,10 @@ class OnlineTieringEngine:
             self._last_observed = observed
             self._last_window = index
             self._window_clock = window.end_month
+            # A forecast built for this window is stale once the window
+            # settles; if a solve failed between build_problem and here,
+            # dropping it keeps the apply_assignment guard honest for later
+            # windows.
             self._pending_forecast = None
             if tracer.enabled:
                 get_metrics().gauge("engine.window_fill").set(
@@ -625,123 +602,13 @@ class OnlineTieringEngine:
 
     @property
     def window_clock(self) -> float:
-        """Virtual time (months) the windowed timeline has settled through."""
+        """Virtual time (months) the engine's timeline has settled through."""
         return self._window_clock
 
     @property
     def last_applied_forecast(self) -> Mapping[str, float] | None:
         """The monthly-rate forecast behind the most recent applied placement."""
         return self._last_applied_forecast
-
-    # -- external-scheduling hooks ----------------------------------------------
-    # The fleet scheduler (:mod:`repro.fleet`) epoch-locks many engines and
-    # replaces the per-engine solve with one stacked, pool-arbitrated solve.
-    # Per epoch it must call, in order: ``begin_epoch`` (validation + policy
-    # check, no state change), then for firing engines ``build_problem`` and
-    # ``apply_assignment`` with an externally computed placement, then
-    # ``settle`` for *every* engine.  ``step`` composes exactly these hooks.
-
-    def _validate_epoch(self, epoch: int) -> None:
-        """Raise unless ``epoch`` continues the dense monthly timeline."""
-        if self._last_window >= 0:
-            raise ValueError(
-                "this engine is on the epoch-free windowed timeline "
-                "(step_window was called); dense epoch stepping cannot be "
-                "mixed in — the two clocks would disagree"
-            )
-        if self._last_epoch >= 0 and epoch != self._last_epoch + 1:
-            raise ValueError(
-                f"stream epochs must advance one month at a time (got "
-                f"{epoch} after {self._last_epoch}); model quiet months "
-                "as empty batches, not gaps"
-            )
-
-    def begin_epoch(self, epoch: int) -> bool:
-        """Validate the epoch and ask the policy whether to re-optimize.
-
-        Raises before anything is billed or migrated when ``epoch`` does not
-        continue the engine's dense monthly timeline.  Mutates no engine
-        state (the policy may update its own drift bookkeeping).
-        """
-        self._validate_epoch(epoch)
-        if self.placement is None:
-            return True
-        tracer = get_tracer()
-        with tracer.span(
-            "engine.policy_decision", epoch=epoch, policy=self.policy.name
-        ) as span:
-            fire = self.policy.should_reoptimize(epoch, self._last_observed)
-            if tracer.enabled:
-                span.set(fire=fire)
-                score = getattr(self.policy, "last_score", None)
-                if score is not None:
-                    get_metrics().gauge(
-                        "engine.drift_score", policy=self.policy.name
-                    ).set(score)
-        return fire
-
-    def settle(
-        self,
-        batch: EpochBatch,
-        migration: MigrationReport | None = None,
-        reoptimized: bool = False,
-        started: float | None = None,
-    ) -> EpochRecord:
-        """Bill the epoch and fold its events into the engine's state.
-
-        Steps the simulator one month against the (possibly just-changed)
-        placement, feeds the feature store and forecaster, advances the
-        residency clocks and returns the epoch's record.  ``migration`` is
-        the report of this epoch's re-optimization, if one was applied.
-        """
-        epoch = batch.epoch
-        self._validate_epoch(epoch)
-        tracer = get_tracer()
-        with tracer.span("engine.settle", epoch=epoch):
-            # The compiled placement answers step_month queries with
-            # vectorized gathers; it is invalidated whenever a
-            # re-optimization moves data.
-            if self._compiled is None:
-                self._compiled = self.simulator.compile_placement(
-                    self._arrays, self.placement
-                )
-            with tracer.span("engine.ingest") as ingest_span:
-                step = self._compiled.step(batch.events)
-                ingest_span.set(events=len(batch.events))
-
-            observed = batch.reads_by_partition()
-            with tracer.span("engine.feature_store"):
-                self.feature_store.observe(batch)
-                self.forecaster.update(epoch, observed)
-            MigrationExecutor.tick(self.months_in_tier, list(self._by_name))
-            self._last_observed = observed
-            self._last_epoch = epoch
-            # A forecast built for this epoch is stale once the epoch
-            # settles; if a solve failed between build_problem and here,
-            # dropping it keeps the apply_assignment guard honest for later
-            # epochs.
-            self._pending_forecast = None
-            if tracer.enabled:
-                get_metrics().gauge("engine.window_fill").set(
-                    self.feature_store.window_fill
-                )
-
-        return EpochRecord(
-            epoch=epoch,
-            reoptimized=reoptimized,
-            storage_cost=step.bill.storage,
-            read_cost=step.bill.read,
-            decompression_cost=step.bill.decompression,
-            migration_cost=migration.migration_cost if migration else 0.0,
-            early_deletion_penalty=(
-                migration.early_deletion_penalty if migration else 0.0
-            ),
-            num_moved=migration.num_moved if migration else 0,
-            moved_gb=migration.moved_gb if migration else 0.0,
-            access_count=step.access_count,
-            latency_violations=step.latency_violations,
-            wall_clock_s=monotonic_s() - started if started is not None else 0.0,
-        )
 
     # -- chaos-facing state -------------------------------------------------------
     # The chaos injector manipulates tier eligibility and residency pins

@@ -1,13 +1,14 @@
-"""Event streams: the clock of the online tiering engine.
+"""Event streams and the windows that cut them: the engine's clock.
 
 The batch pipeline consumes a complete historical trace in one shot; the
-online engine consumes the same :class:`repro.cloud.AccessEvent` objects
-*epoch by epoch* (an epoch is one billing month).  An event stream is simply
-an iterable of :class:`EpochBatch` objects with strictly increasing epochs —
-the engine never looks ahead, so any policy evaluated on a stream is causally
-honest.
+online engine consumes events **window by window** and never looks ahead, so
+any policy evaluated on a stream is causally honest.  There is one control
+loop, over :class:`StreamWindow` batches; a dense stream of
+:class:`EpochBatch` objects (one per billing month, strictly increasing
+epochs) enters it through :meth:`EpochBatch.as_window` as the month-aligned
+windows ``[epoch, epoch + 1)``.
 
-Three epoch-batch sources are provided:
+Three dense epoch-batch sources are provided:
 
 * :class:`ReplayStream` — replays a recorded flat trace (e.g. the one a batch
   simulation used), grouping events by month;
@@ -17,10 +18,9 @@ Three epoch-batch sources are provided:
 * :func:`stream_from_catalog` — wraps a :class:`repro.cloud.DatasetCatalog`'s
   recorded ``monthly_reads`` histories as a stream.
 
-**Epoch-free triggering** (ROADMAP item 2) generalizes the dense monthly
-grid: a continuous stream of :class:`repro.cloud.TimedEvent` (from
-:mod:`repro.workloads.streams`) is cut into :class:`StreamWindow` batches by
-a pluggable **trigger** —
+**Epoch-free triggering** cuts a continuous stream of
+:class:`repro.cloud.TimedEvent` (from :mod:`repro.workloads.streams`) into
+:class:`StreamWindow` batches with a pluggable **trigger** —
 
 * :class:`CountTrigger` closes a window after a fixed number of events;
 * :class:`TimeTrigger` closes on a virtual wall-clock width (month-aligned
@@ -73,14 +73,25 @@ class EpochBatch:
 
     @property
     def total_reads(self) -> float:
-        return float(sum(event.reads for event in self.events))
+        return self.as_window().total_reads
 
     def reads_by_partition(self) -> dict[str, float]:
         """Aggregated read counts per partition for this epoch."""
-        totals: dict[str, float] = {}
-        for event in self.events:
-            totals[event.partition] = totals.get(event.partition, 0.0) + event.reads
-        return totals
+        return self.as_window().reads_by_partition()
+
+    def as_window(self) -> "StreamWindow":
+        """This epoch as the month-aligned window ``[epoch, epoch + 1)``.
+
+        The events pass through unconverted: billing and aggregation read
+        only their ``partition`` and ``reads``.
+        """
+        return StreamWindow(
+            index=self.epoch,
+            start_month=float(self.epoch),
+            end_month=float(self.epoch + 1),
+            events=self.events,
+            cause="time",
+        )
 
 
 class ReplayStream:
@@ -188,20 +199,22 @@ def stream_from_catalog(
 
 @dataclass(frozen=True)
 class StreamWindow:
-    """A closed trigger window: the timed events in ``[start_month, end_month)``.
+    """A closed window: the access events in ``[start_month, end_month)``.
 
-    The epoch-free analogue of :class:`EpochBatch`: ``index`` is the window's
+    The unit of the engine's control loop: ``index`` is the window's
     ordinal (windows are consecutive and gap-free), ``cause`` names the
     trigger that closed it (``"count"``, ``"time"``, ``"drift"``,
     ``"horizon"`` or ``"flush"``).  Storage is billed for
-    ``duration_months``, reads for the events — the same arithmetic as a
-    dense epoch, just over an arbitrary-width slice of virtual time.
+    ``duration_months``, reads for the events.  A dense epoch is the window
+    ``[epoch, epoch + 1)`` of its :class:`repro.cloud.AccessEvent`\\ s
+    (:meth:`EpochBatch.as_window`); trigger windows hold
+    :class:`repro.cloud.TimedEvent`\\ s.
     """
 
     index: int
     start_month: float
     end_month: float
-    events: tuple[TimedEvent, ...]
+    events: tuple[TimedEvent | AccessEvent, ...]
     cause: str
 
     def __post_init__(self) -> None:

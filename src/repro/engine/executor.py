@@ -231,8 +231,8 @@ class MigrationExecutor:
     ) -> None:
         """Advance every partition's tier-residency clock by ``months``.
 
-        The dense epoch loop ticks one month at a time; the epoch-free
-        windowed loop ticks each window's fractional duration.
+        The engine ticks each settled window's duration (exactly one month
+        for a dense epoch).
         """
         if months < 0:
             raise ValueError("months must be non-negative")

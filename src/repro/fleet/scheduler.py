@@ -1,10 +1,11 @@
 """The fleet scheduler: N tenants, one catalog, shared capacity pools.
 
 :class:`FleetScheduler` drives one :class:`~repro.engine.OnlineTieringEngine`
-per tenant epoch-locked over the same monthly timeline.  Per epoch it
+per tenant, lock-stepped over one shared timeline of windows (dense monthly
+epochs are the month-aligned windows).  Per window it
 
 1. asks every tenant's policy whether to re-optimize
-   (:meth:`~repro.engine.OnlineTieringEngine.begin_epoch`);
+   (:meth:`~repro.engine.OnlineTieringEngine.begin_window`);
 2. builds the firing tenants' warm-started OPTASSIGN instances, stacks them
    into one tenant-tagged problem
    (:class:`~repro.core.optassign.StackedProblem`) and performs a *single*
@@ -397,22 +398,20 @@ class FleetScheduler:
         firing: Sequence[str],
         order: Sequence[str],
         tracer,
-        epoch_span_id,
+        window_span_id,
     ) -> dict[str, object]:
         """Build → stack → solve → apply for the firing tenants.
 
-        The shared middle of both timelines (dense :meth:`step_epoch` and
-        windowed :meth:`step_window`): identical stacking, pool arbitration,
-        delta/sharded routing and chaos degradation either way.  ``epoch`` is
-        the dense month or the window ordinal — the engines' hooks take
-        whichever their timeline uses.  Returns the per-tenant migration
+        Stacking, pool arbitration, delta/sharded routing and chaos
+        degradation for one window; ``epoch`` is the window ordinal (the
+        dense month on the monthly grid).  Returns the per-tenant migration
         reports of an applied solve (empty when placements froze).
         """
         migrations: dict[str, object] = {}
 
         def build(name: str):
             with tracer.span(
-                "fleet.build_problem", parent_id=epoch_span_id, tenant=name
+                "fleet.build_problem", parent_id=window_span_id, tenant=name
             ):
                 return self.engines[name].build_problem(epoch)
 
@@ -458,12 +457,20 @@ class FleetScheduler:
                     )
                 self.chaos.note_relaxation(epoch, self._last_relaxation())
         # else: frozen placements — nothing applied, the firing engines'
-        # pending forecasts are dropped by settle.
+        # pending forecasts are dropped by settle_window.
         return migrations
 
-    # -- one epoch -------------------------------------------------------------
+    # -- one window --------------------------------------------------------------
     def step_epoch(self, batches: Mapping[str, EpochBatch]) -> None:
-        """Advance every tenant one epoch (all batches must share the epoch)."""
+        """Advance every tenant one epoch (all batches must share the epoch).
+
+        The epoch is stepped as the month-aligned window ``[epoch, epoch +
+        1)``.  Tenants joined mid-run by a chaos ``TenantJoin`` feed from
+        their own streams; every other live tenant must appear in
+        ``batches`` (``KeyError`` otherwise).  Tenants that departed may
+        still appear (:meth:`run`'s original iterators keep yielding) and
+        are simply ignored.
+        """
         if not batches:
             raise ValueError("at least one tenant batch is required")
         epochs = {batch.epoch for batch in batches.values()}
@@ -472,124 +479,32 @@ class FleetScheduler:
                 f"fleet epochs are locked: got mixed epochs {sorted(epochs)}"
             )
         epoch = epochs.pop()
-        if self.chaos is not None:
-            # Disruptions land at the epoch boundary, before any policy
-            # decision or billing: churn changes the roster below, outages
-            # mask tiers and mark evacuating tenants for forced firing.
-            self.chaos.before_fleet_epoch(self, epoch)
-        order = [spec.name for spec in self.tenants]
-        batches = dict(batches)
-        # Tenants joined mid-run feed from their own chaos streams; tenants
-        # that departed may still appear in the caller's mapping (run()'s
-        # original iterators keep yielding) and are simply ignored.
-        for name, iterator in list(self._chaos_streams.items()):
-            if name not in batches:
-                batch = next(iterator, None)
-                batches[name] = (
-                    batch if batch is not None else EpochBatch(epoch=epoch, events=())
-                )
-        missing = [name for name in order if name not in batches]
-        if missing:
-            raise KeyError(f"batches missing tenants: {missing}")
 
-        tracer = get_tracer()
-        with tracer.span("fleet.epoch", epoch=epoch) as epoch_span:
-            # Per-tenant work below may run on thread-pool workers, whose
-            # span stacks start empty — pin their parentage explicitly so the
-            # epoch's span tree survives the thread hop.
-            epoch_span_id = tracer.current_span_id
+        def complete(order: Sequence[str]) -> dict[str, StreamWindow]:
+            # Runs after the chaos hook, so tenants it just admitted are
+            # pulled from their join streams for this very epoch.
+            windows = {name: batch.as_window() for name, batch in batches.items()}
+            for name, iterator in list(self._chaos_streams.items()):
+                if name not in windows:
+                    batch = next(iterator, None) or EpochBatch(epoch=epoch, events=())
+                    windows[name] = batch.as_window()
+            missing = [name for name in order if name not in windows]
+            if missing:
+                raise KeyError(f"batches missing tenants: {missing}")
+            return windows
 
-            firing = [
-                name for name in order if self.engines[name].begin_epoch(epoch)
-            ]
-            if self.chaos is not None:
-                # Tenants with residents on a just-dead provider's tiers must
-                # re-solve this epoch regardless of what their policy said:
-                # forced evacuation cannot wait for drift.
-                forced = self.chaos.take_forced_tenants() & set(order)
-                if forced - set(firing):
-                    firing_set = set(firing) | forced
-                    firing = [name for name in order if name in firing_set]
-            solve_started = monotonic_s()
-            migrations: dict[str, object] = {}
-            if firing:
-                migrations = self._reoptimize(
-                    epoch, firing, order, tracer, epoch_span_id
-                )
-            solve_seconds = monotonic_s() - solve_started
+        self._step(epoch, float(epoch), float(epoch + 1), "time", complete)
 
-            def settle(name: str):
-                started = monotonic_s()
-                with tracer.span(
-                    "fleet.settle", parent_id=epoch_span_id, tenant=name
-                ):
-                    return self.engines[name].settle(
-                        batches[name],
-                        migration=migrations.get(name),
-                        reoptimized=name in migrations,
-                        started=started,
-                    )
-
-            for name, record in zip(order, self._map(settle, order)):
-                self._records[name].append(record)
-
-            self._note_pool_usage(
-                epoch, order, len(firing), solve_seconds, tracer, epoch_span
-            )
-
-    def _note_pool_usage(
-        self, epoch, order, num_fired, solve_seconds, tracer, epoch_span
-    ) -> None:
-        """Record the epoch's stacked-solve + pool telemetry (both timelines).
-
-        The per-epoch record always carries the stacked-solve telemetry
-        (solve wall clock is invisible to per-tenant settle timings); the
-        pool columns are empty for a pool-less fleet.
-        """
-        used = (
-            self.pools.usage_by_name(self._fleet_tier_usage(order))
-            if self.pools is not None
-            else {}
-        )
-        capacity = (
-            {pool.name: pool.capacity_gb for pool in self.pools}
-            if self.pools is not None
-            else {}
-        )
-        if tracer.enabled:
-            epoch_span.set(num_reoptimized=num_fired)
-            metrics = get_metrics()
-            for pool_name, used_gb in used.items():
-                metrics.gauge("fleet.pool.used_gb", pool=pool_name).set(
-                    used_gb
-                )
-                budget = capacity[pool_name]
-                if math.isfinite(budget) and budget > 0:
-                    metrics.gauge(
-                        "fleet.pool.utilization", pool=pool_name
-                    ).set(used_gb / budget)
-        self._pool_records.append(
-            PoolUsageRecord(
-                epoch=epoch,
-                used_gb=used,
-                capacity_gb=capacity,
-                num_reoptimized=num_fired,
-                solve_wall_clock_s=solve_seconds,
-            )
-        )
-
-    # -- one epoch-free window ---------------------------------------------------
     def step_window(self, windows: Mapping[str, StreamWindow]) -> None:
         """Advance every tenant one trigger window (window-locked fleet).
 
-        The epoch-free twin of :meth:`step_epoch`: all provided windows must
-        share the same ``(index, start, end)`` span — the fleet closes its
-        windows on one shared trigger over the *merged* tenant stream (see
-        :meth:`run_streams`), so tenants stay lock-stepped exactly as on the
-        monthly grid.  Live tenants missing from ``windows`` (e.g. just
-        admitted by a chaos ``TenantJoin``, whose dense spec streams have no
-        place on the windowed timeline) settle an empty window: storage
-        accrues, no reads.
+        All provided windows must share the same ``(index, start, end)`` span
+        — the fleet closes its windows on one shared trigger over the
+        *merged* tenant stream (see :meth:`run_streams`), so tenants stay
+        lock-stepped exactly as on the monthly grid.  Live tenants missing
+        from ``windows`` (e.g. just admitted by a chaos ``TenantJoin``, whose
+        dense spec streams have no place on a trigger-windowed timeline)
+        settle an empty window: storage accrues, no reads.
 
         A window closed by a drift trigger (``cause == "drift"``) forces
         every tenant to re-optimize: the shared trigger detected fleet-level
@@ -607,27 +522,43 @@ class FleetScheduler:
             )
         index, start, end = spans.pop()
         cause = next(iter(windows.values())).cause
+
+        def complete(order: Sequence[str]) -> dict[str, StreamWindow]:
+            empty = StreamWindow(
+                index=index, start_month=start, end_month=end, events=(), cause=cause
+            )
+            return {name: windows.get(name, empty) for name in order}
+
+        self._step(index, start, end, cause, complete)
+
+    def _step(
+        self,
+        index: int,
+        start: float,
+        end: float,
+        cause: str,
+        complete: Callable[[Sequence[str]], Mapping[str, StreamWindow]],
+    ) -> None:
+        """The fleet's one control loop body: advance every tenant one window.
+
+        ``complete`` maps the live roster — read *after* the chaos hook, which
+        may admit or retire tenants — to every live tenant's window.
+        """
         if self.chaos is not None:
             # Disruptions whose month marks fall inside this window land at
-            # its boundary, before any policy decision or billing.
+            # its boundary, before any policy decision or billing: churn
+            # changes the roster below, outages mask tiers and mark
+            # evacuating tenants for forced firing.
             self.chaos.before_fleet_window(self, index, start, end)
         order = [spec.name for spec in self.tenants]
-        windows = dict(windows)
-        for name in order:
-            if name not in windows:
-                windows[name] = StreamWindow(
-                    index=index,
-                    start_month=start,
-                    end_month=end,
-                    events=(),
-                    cause=cause,
-                )
+        windows = complete(order)
 
         tracer = get_tracer()
-        with tracer.span(
-            "fleet.window", index=index, cause=cause
-        ) as epoch_span:
-            epoch_span_id = tracer.current_span_id
+        with tracer.span("fleet.window", index=index, cause=cause) as window_span:
+            # Per-tenant work below may run on thread-pool workers, whose
+            # span stacks start empty — pin their parentage explicitly so the
+            # window's span tree survives the thread hop.
+            window_span_id = tracer.current_span_id
             force_all = cause == "drift"
             firing = [
                 name
@@ -637,6 +568,9 @@ class FleetScheduler:
                 if self.engines[name].begin_window(index) or force_all
             ]
             if self.chaos is not None:
+                # Tenants with residents on a just-dead provider's tiers must
+                # re-solve this window regardless of what their policy said:
+                # forced evacuation cannot wait for drift.
                 forced = self.chaos.take_forced_tenants() & set(order)
                 if forced - set(firing):
                     firing_set = set(firing) | forced
@@ -645,14 +579,14 @@ class FleetScheduler:
             migrations: dict[str, object] = {}
             if firing:
                 migrations = self._reoptimize(
-                    index, firing, order, tracer, epoch_span_id
+                    index, firing, order, tracer, window_span_id
                 )
             solve_seconds = monotonic_s() - solve_started
 
-            def settle(name: str):
+            def settle_tenant(name: str):
                 started = monotonic_s()
                 with tracer.span(
-                    "fleet.settle", parent_id=epoch_span_id, tenant=name
+                    "fleet.settle", parent_id=window_span_id, tenant=name
                 ):
                     return self.engines[name].settle_window(
                         windows[name],
@@ -661,11 +595,36 @@ class FleetScheduler:
                         started=started,
                     )
 
-            for name, record in zip(order, self._map(settle, order)):
+            for name, record in zip(order, self._map(settle_tenant, order)):
                 self._records[name].append(record)
 
-            self._note_pool_usage(
-                index, order, len(firing), solve_seconds, tracer, epoch_span
+            # The per-window record always carries the stacked-solve
+            # telemetry (solve wall clock is invisible to per-tenant settle
+            # timings); the pool columns are empty for a pool-less fleet.
+            used, capacity = {}, {}
+            if self.pools is not None:
+                used = self.pools.usage_by_name(self._fleet_tier_usage(order))
+                capacity = {pool.name: pool.capacity_gb for pool in self.pools}
+            if tracer.enabled:
+                window_span.set(num_reoptimized=len(firing))
+                metrics = get_metrics()
+                for pool_name, used_gb in used.items():
+                    metrics.gauge("fleet.pool.used_gb", pool=pool_name).set(
+                        used_gb
+                    )
+                    budget = capacity[pool_name]
+                    if math.isfinite(budget) and budget > 0:
+                        metrics.gauge(
+                            "fleet.pool.utilization", pool=pool_name
+                        ).set(used_gb / budget)
+            self._pool_records.append(
+                PoolUsageRecord(
+                    epoch=index,
+                    used_gb=used,
+                    capacity_gb=capacity,
+                    num_reoptimized=len(firing),
+                    solve_wall_clock_s=solve_seconds,
+                )
             )
 
     def run_streams(

@@ -288,8 +288,8 @@ class TraceStream:
         time_scale: float = 1.0,
         tenant: str | None = None,
     ) -> None:
-        if time_scale <= 0:
-            raise ValueError("time_scale must be positive")
+        if not 0.0 < time_scale < math.inf:
+            raise ValueError("time_scale must be positive and finite")
         self.path = Path(path)
         self.time_scale = float(time_scale)
         self.tenant = tenant
@@ -328,13 +328,19 @@ class TraceStream:
                         raise ValueError(
                             f"trace {self.path} line {line}: bad reads {raw_reads!r}"
                         ) from exc
+                try:
+                    event = TimedEvent(
+                        t=t, partition=partition, reads=reads, tenant=self.tenant
+                    )
+                except ValueError as exc:
+                    raise ValueError(f"trace {self.path} line {line}: {exc}") from exc
                 if t < last_t:
                     raise ValueError(
                         f"trace {self.path} line {line}: time goes backwards "
                         f"({t} after {last_t}); traces must be sorted by t"
                     )
                 last_t = t
-                yield TimedEvent(t=t, partition=partition, reads=reads, tenant=self.tenant)
+                yield event
 
 
 def write_trace_csv(path: str | Path, events: Iterable[TimedEvent]) -> int:

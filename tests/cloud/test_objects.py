@@ -1,5 +1,7 @@
 """Tests for data-lake objects: partitions, datasets and catalogs."""
 
+import math
+
 import pytest
 
 from repro.cloud import (
@@ -57,6 +59,11 @@ class TestDataPartition:
             {"size_gb": 1.0, "predicted_accesses": 1.0, "read_fraction": 1.5},
             {"size_gb": 1.0, "predicted_accesses": 1.0, "pushdown_fraction": -0.1},
             {"size_gb": 1.0, "predicted_accesses": 1.0, "latency_threshold_s": -1.0},
+            {"size_gb": math.nan, "predicted_accesses": 1.0},
+            {"size_gb": math.inf, "predicted_accesses": 1.0},
+            {"size_gb": 1.0, "predicted_accesses": math.nan},
+            {"size_gb": 1.0, "predicted_accesses": math.inf},
+            {"size_gb": 1.0, "predicted_accesses": 1.0, "latency_threshold_s": math.nan},
         ],
     )
     def test_invalid_arguments_rejected(self, kwargs):

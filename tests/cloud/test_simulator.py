@@ -162,3 +162,15 @@ class TestPercentCostBenefit:
         base = simulator.simulate(partitions, all_hot, trace, duration_months=6.0)
         optimized = simulator.simulate(partitions, tiered, trace, duration_months=6.0)
         assert percent_cost_benefit(base.total_cost, optimized.total_cost) > 30.0
+
+
+class TestAccessEvent:
+    @pytest.mark.parametrize("reads", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_reads_rejected(self, reads):
+        with pytest.raises(ValueError, match="reads must be finite"):
+            AccessEvent(month=0, partition="a", reads=reads)
+
+    @pytest.mark.parametrize("month", [-1, float("nan")])
+    def test_negative_or_nan_month_rejected(self, month):
+        with pytest.raises(ValueError, match="month"):
+            AccessEvent(month=month, partition="a")

@@ -15,7 +15,6 @@ from repro.engine import (
     CountTrigger,
     DriftTrigger,
     EngineConfig,
-    EpochBatch,
     OnlineTieringEngine,
     PeriodicReoptimize,
     StreamWindow,
@@ -308,21 +307,6 @@ class TestDenseOracleEquivalence:
 
 
 class TestWindowedEngineBehaviour:
-    def test_timeline_mixing_raises_both_ways(self, oracle_setup):
-        partitions, tiers, stream = oracle_setup
-        engine = make_engine(partitions, tiers)
-        engine.run_stream(stream, TimeTrigger(1.0), horizon_months=2.0)
-        with pytest.raises(ValueError, match="epoch-free windowed timeline"):
-            engine.step(EpochBatch(epoch=2, events=()))
-
-        engine = make_engine(partitions, tiers)
-        engine.run(monthly_batches(stream, num_epochs=2))
-        with pytest.raises(ValueError, match="dense monthly timeline"):
-            engine.step_window(
-                StreamWindow(index=0, start_month=0.0, end_month=1.0,
-                             events=(), cause="time")
-            )
-
     def test_windows_must_be_consecutive(self, oracle_setup):
         partitions, tiers, stream = oracle_setup
         engine = make_engine(partitions, tiers)

@@ -1,6 +1,9 @@
 """Continuous event streams: re-iterability, thinning, traces, merging."""
 
+import importlib.util
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,13 @@ class TestTimedEvent:
     def test_negative_reads_rejected(self):
         with pytest.raises(ValueError):
             TimedEvent(t=0.0, partition="a", reads=-1.0)
+
+    @pytest.mark.parametrize("field", ["t", "reads"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_time_and_reads_rejected(self, field, value):
+        kwargs = {"t": 0.5, "partition": "a", "reads": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TimedEvent(**kwargs)
 
 
 class TestPoissonZipfStream:
@@ -288,6 +298,47 @@ class TestTraceStream:
     def test_nonpositive_time_scale_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             TraceStream(tmp_path / "x.csv", time_scale=0.0)
+
+    def test_non_finite_cells_report_line_and_field(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("t,partition,reads\n0.5,a,1\nnan,a,1\n")
+        with pytest.raises(ValueError, match="line 3.*t must be finite"):
+            list(TraceStream(path))
+        path.write_text("t,partition,reads\n0.5,a,inf\n")
+        with pytest.raises(ValueError, match="line 2.*reads must be finite"):
+            list(TraceStream(path))
+        with pytest.raises(ValueError, match="time_scale"):
+            TraceStream(path, time_scale=math.nan)
+
+
+def _load_trace_validator():
+    root = Path(__file__).resolve().parents[2]
+    spec = importlib.util.spec_from_file_location(
+        "validate_trace_csv", root / "tools" / "validate_trace_csv.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTraceValidator:
+    def test_non_finite_cells_are_violations_naming_line_and_field(self, tmp_path):
+        validator = _load_trace_validator()
+        schema = json.loads(validator.DEFAULT_SCHEMA.read_text())
+        path = tmp_path / "trace.csv"
+        path.write_text("t,partition,reads\n0.5,a,1\nnan,a,1\n1.0,b,nan\n2.0,c,inf\n")
+        errors = validator.validate_trace(path, schema)
+        assert len(errors) == 3
+        assert "line 3.t" in errors[0]
+        assert "line 4.reads" in errors[1]
+        assert "line 5.reads" in errors[2]
+
+    def test_finite_trace_is_valid(self, tmp_path):
+        validator = _load_trace_validator()
+        schema = json.loads(validator.DEFAULT_SCHEMA.read_text())
+        path = tmp_path / "trace.csv"
+        path.write_text("t,partition,reads\n0.5,a,1\n1.0,b,\n")
+        assert validator.validate_trace(path, schema) == []
 
 
 class TestMergeStreams:

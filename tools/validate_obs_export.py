@@ -97,6 +97,11 @@ def validate(value, schema: dict, path: str = "$") -> list[str]:
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
         if "minimum" in schema and value < schema["minimum"]:
             errors.append(f"{path}: {value} < minimum {schema['minimum']}")
+        # Written so that NaN fails too: every comparison with NaN is False.
+        if "maximum" in schema and not value <= schema["maximum"]:
+            errors.append(
+                f"{path}: {value} is not a number <= maximum {schema['maximum']}"
+            )
     elif isinstance(value, str):
         if "minLength" in schema and len(value) < schema["minLength"]:
             errors.append(f"{path}: shorter than minLength {schema['minLength']}")
