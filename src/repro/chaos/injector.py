@@ -350,10 +350,10 @@ class ChaosInjector:
 
         Applies every scheduled disruption whose integer epoch mark lies in
         ``[start_month, end_month)``, in mark order; the roster may change.
-        ``TenantJoin`` specs carry dense epoch streams: a dense fleet run
-        pulls the joiner's batches from them, while on a trigger-windowed
-        timeline the joiner settles empty windows (the scheduler's
-        :meth:`~repro.fleet.FleetScheduler.step_window` contract).
+        ``TenantJoin`` specs carry dense epoch streams: every later window
+        feeds the joiner the batches whose epochs its span covers (the
+        scheduler's :meth:`~repro.fleet.FleetScheduler.step_window`
+        contract), on the dense grid and on a trigger-windowed timeline.
         """
         for epoch in self._epochs_in_window(start_month, end_month):
             # scheduler.engines is updated in place by churn, so later

@@ -9,6 +9,7 @@ so predicted and billed costs can never disagree on the arithmetic.
 """
 
 from .arrays import PartitionArrays
+from .events import EventBlock
 from .billing import (
     BatchCostTensors,
     CompressionProfile,
@@ -77,6 +78,7 @@ __all__ = [
     "gcp_gcs",
     "multi_cloud_catalog",
     "AccessEvent",
+    "EventBlock",
     "CloudStorageSimulator",
     "CompiledPlacement",
     "PlacementDecision",

@@ -21,6 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .events import NameRows
 from .objects import DataPartition
 
 __all__ = ["PartitionArrays"]
@@ -47,6 +48,7 @@ class PartitionArrays:
     current_codec: tuple[str | None, ...]
     file_ids: tuple[frozenset[str], ...]
     _index: dict[str, int] | None = field(default=None, repr=False, compare=False)
+    _rows: NameRows | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_partitions(cls, partitions: Sequence[DataPartition]) -> "PartitionArrays":
@@ -133,9 +135,23 @@ class PartitionArrays:
 
     def index_of(self, name: str) -> int:
         """Row index of ``name``; raises ``KeyError`` if unknown."""
+        return self._name_index()[name]
+
+    def _name_index(self) -> dict[str, int]:
         if self._index is None:
             self._index = {n: i for i, n in enumerate(self.names)}
-        return self._index[name]
+        return self._index
+
+    def rows_of(self, names: tuple[str, ...]) -> np.ndarray:
+        """Row index of every name in ``names`` (``-1`` if unknown).
+
+        Cached per names tuple (see :class:`~repro.cloud.events.NameRows`),
+        so billing an :class:`~repro.cloud.events.EventBlock` maps its
+        ``pid``\\ s to rows with one gather.
+        """
+        if self._rows is None:
+            self._rows = NameRows(self._name_index())
+        return self._rows.rows(names)
 
     # -- derived columns (mirror the DataPartition properties) ----------------
     @property

@@ -13,7 +13,6 @@ be counted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -21,6 +20,7 @@ import numpy as np
 
 from .arrays import PartitionArrays
 from .billing import CompressionProfile, CostBreakdown, CostModel, NO_COMPRESSION_PROFILE
+from .events import AccessEvent, EventBlock, TimedEvent
 from .objects import DataPartition
 from .tiers import NEW_DATA_TIER, TierCatalog
 
@@ -32,69 +32,6 @@ __all__ = [
     "CompiledPlacement",
     "percent_cost_benefit",
 ]
-
-
-@dataclass(frozen=True)
-class AccessEvent:
-    """A single (aggregated) access to a partition during one month.
-
-    ``reads`` is the number of read operations issued in ``month`` against
-    ``partition``; each read touches ``partition.read_gb_per_access`` GB of
-    uncompressed data.
-    """
-
-    month: int
-    partition: str
-    reads: float = 1.0
-
-    def __post_init__(self) -> None:
-        # Chained comparisons are False for NaN, so they reject non-finite
-        # values at the cost of one extra comparison per event.
-        if not 0 <= self.month:
-            raise ValueError(f"month must be non-negative, got {self.month!r}")
-        if not 0.0 <= self.reads < math.inf:
-            raise ValueError(
-                f"reads must be finite and non-negative, got {self.reads!r}"
-            )
-
-
-@dataclass(frozen=True)
-class TimedEvent:
-    """:class:`AccessEvent`'s continuous-time sibling: one access at time ``t``.
-
-    ``t`` is a virtual wall clock measured in (fractional) months, the same
-    unit every price in the catalog is quoted against; ``t = 2.5`` is the
-    middle of billing month 2.  Continuous workload generators
-    (:mod:`repro.workloads.streams`) yield these on the fly, and the
-    epoch-free trigger windows (:mod:`repro.engine.events`) group them into
-    billable batches without ever materializing a schedule.  The billing fast
-    path (:meth:`CompiledPlacement.step`) accepts either event type — it only
-    reads ``partition`` and ``reads``.
-
-    ``tenant`` optionally attributes the event to a fleet tenant; merged
-    multi-tenant streams use it to split shared trigger windows back into
-    per-tenant batches.
-    """
-
-    t: float
-    partition: str
-    reads: float = 1.0
-    tenant: str | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.t < math.inf:
-            raise ValueError(
-                f"event time t must be finite and non-negative, got {self.t!r}"
-            )
-        if not 0.0 <= self.reads < math.inf:
-            raise ValueError(
-                f"reads must be finite and non-negative, got {self.reads!r}"
-            )
-
-    @property
-    def month(self) -> int:
-        """The billing month this event falls into (``floor(t)``)."""
-        return int(self.t)
 
 
 @dataclass(frozen=True)
@@ -451,7 +388,7 @@ class CompiledPlacement:
 
     def step(
         self,
-        access_events: Iterable[AccessEvent],
+        access_events: EventBlock | Iterable[AccessEvent | TimedEvent],
         storage_months: float = 1.0,
         include_per_partition: bool = False,
     ) -> SimulationResult:
@@ -460,32 +397,33 @@ class CompiledPlacement:
         Semantics match :meth:`CloudStorageSimulator.step_month`: one epoch of
         storage for every partition, read + decompression charges and latency
         bookkeeping for the events, no tier-change writes and no
-        early-deletion penalties.  ``include_per_partition`` populates
+        early-deletion penalties.  ``access_events`` is an
+        :class:`~repro.cloud.events.EventBlock`; event objects are gathered
+        into one first, so both forms bill through the same arithmetic.  The
+        block's ``pid``\\ s map to rows through a translation cached per
+        names tuple.  ``include_per_partition`` populates
         :attr:`SimulationResult.per_partition` (off by default — building one
         Python object per partition per epoch is exactly what this fast path
         exists to avoid).
         """
         if storage_months < 0:
             raise ValueError("storage_months must be non-negative")
-        indices: list[int] = []
-        reads: list[float] = []
-        rounded: list[int] = []
-        for event in access_events:
-            try:
-                index = self.arrays.index_of(event.partition)
-            except KeyError:
-                raise KeyError(
-                    f"access event references unknown partition {event.partition!r}"
-                ) from None
-            indices.append(index)
-            reads.append(event.reads)
-            rounded.append(int(round(event.reads)))
+        block = (
+            access_events
+            if isinstance(access_events, EventBlock)
+            else EventBlock.from_events(access_events)
+        )
+        index_array = self.arrays.rows_of(block.names)[block.pid]
+        unknown = np.flatnonzero(index_array < 0)
+        if unknown.size:
+            name = block.names[int(block.pid[unknown[0]])]
+            raise KeyError(f"access event references unknown partition {name!r}")
 
         storage_total = float(np.sum(self.storage_per_month) * storage_months)
-        if indices:
-            index_array = np.asarray(indices, dtype=np.int64)
-            reads_array = np.asarray(reads, dtype=np.float64)
-            rounds_array = np.asarray(rounded, dtype=np.int64)
+        if len(block):
+            reads_array = block.reads
+            # np.rint rounds half to even, like round().
+            rounds_array = np.rint(reads_array).astype(np.int64)
             read_total = float(self.read_cost_per_read[index_array] @ reads_array)
             decompression_total = float(
                 self.decompression_cost_per_read[index_array] @ reads_array
@@ -502,7 +440,7 @@ class CompiledPlacement:
         per_partition: dict[str, CostBreakdown] = {}
         if include_per_partition:
             reads_dense = np.zeros(len(self.arrays), dtype=np.float64)
-            if indices:
+            if len(block):
                 np.add.at(reads_dense, index_array, reads_array)
             storage_each = (self.storage_per_month * storage_months).tolist()
             read_each = (self.read_cost_per_read * reads_dense).tolist()

@@ -77,19 +77,25 @@ class StorageTier:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tier name must be non-empty")
-        for label, value in (
+        # Chained comparisons are False for NaN, so they reject it too.
+        finite = [
             ("storage_cost", self.storage_cost),
             ("read_cost", self.read_cost),
             ("write_cost", self.write_cost),
             ("latency_s", self.latency_s),
-            ("capacity_gb", self.capacity_gb),
             ("early_deletion_months", self.early_deletion_months),
-        ):
-            if value < 0:
-                raise ValueError(f"{label} must be non-negative, got {value!r}")
-        if self.slo_latency_s is not None and self.slo_latency_s < 0:
+        ]
+        if self.slo_latency_s is not None:
+            finite.append(("slo_latency_s", self.slo_latency_s))
+        for label, value in finite:
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"{label} must be finite and non-negative, got {value!r}"
+                )
+        if not 0.0 <= self.capacity_gb <= math.inf:
             raise ValueError(
-                f"slo_latency_s must be non-negative, got {self.slo_latency_s!r}"
+                "capacity_gb must be non-negative (math.inf for unbounded), "
+                f"got {self.capacity_gb!r}"
             )
 
     @property

@@ -529,10 +529,11 @@ class OnlineTieringEngine:
         """Bill one window and fold its events into the engine state.
 
         Storage accrues for exactly ``window.duration_months`` against the
-        (possibly just-changed) placement; reads are billed per event in
-        stream order.  The feature store and forecaster receive observed
-        **monthly rates** — window counts divided by the window's duration —
-        so windows of different widths remain comparable; for the degenerate
+        (possibly just-changed) placement; reads are billed from the
+        window's :class:`~repro.cloud.EventBlock` in stream order.  The
+        feature store and forecaster receive observed **monthly rates** —
+        window counts divided by the window's duration — so windows of
+        different widths remain comparable; for the degenerate
         zero-width flush window raw counts are folded as-is.  Residency
         clocks advance by the window's duration.  ``migration`` is the report
         of this window's re-optimization, if one was applied.
@@ -550,11 +551,13 @@ class OnlineTieringEngine:
                 self._compiled = self.simulator.compile_placement(
                     self._arrays, self.placement
                 )
+            # One columnar block feeds billing and the feature counts alike.
+            block = window.block
             with tracer.span("engine.ingest") as ingest_span:
-                step = self._compiled.step(window.events, storage_months=duration)
-                ingest_span.set(events=len(window.events))
+                step = self._compiled.step(block, storage_months=duration)
+                ingest_span.set(events=len(block))
 
-            counts = window.reads_by_partition()
+            counts = block.reads_by_partition()
             if duration > 0:
                 observed = {
                     name: count / duration for name, count in counts.items()

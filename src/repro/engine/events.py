@@ -18,9 +18,17 @@ Three dense epoch-batch sources are provided:
 * :func:`stream_from_catalog` — wraps a :class:`repro.cloud.DatasetCatalog`'s
   recorded ``monthly_reads`` histories as a stream.
 
-**Epoch-free triggering** cuts a continuous stream of
-:class:`repro.cloud.TimedEvent` (from :mod:`repro.workloads.streams`) into
-:class:`StreamWindow` batches with a pluggable **trigger** —
+**Epoch-free triggering** cuts a continuous stream of timed events (from
+:mod:`repro.workloads.streams`) into :class:`StreamWindow` batches with a
+pluggable **trigger**.  The unit it cuts is the
+:class:`repro.cloud.EventBlock` — numpy columns ``t``, ``pid`` and
+``reads`` over a shared ``names`` tuple — never one Python object per
+event: a source with native blocks hands them over as generated, and any
+other iterable of :class:`repro.cloud.TimedEvent` passes the edge adapter
+(:meth:`repro.cloud.EventBlock.gather`) first.  Triggers find their next
+decision with array operations (``searchsorted`` for time, arithmetic on
+counts, ``check_every`` cadences for drift) and are asked event by event
+only where they may act —
 
 * :class:`CountTrigger` closes a window after a fixed number of events;
 * :class:`TimeTrigger` closes on a virtual wall-clock width (month-aligned
@@ -39,9 +47,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
-from ..cloud import AccessEvent, DatasetCatalog, TimedEvent
+import numpy as np
+
+from ..cloud import AccessEvent, DatasetCatalog, EventBlock, TimedEvent
+from ..cloud.events import NameRows
 from .policies import drift_score
 
 __all__ = [
@@ -205,16 +217,18 @@ class StreamWindow:
     ordinal (windows are consecutive and gap-free), ``cause`` names the
     trigger that closed it (``"count"``, ``"time"``, ``"drift"``,
     ``"horizon"`` or ``"flush"``).  Storage is billed for
-    ``duration_months``, reads for the events.  A dense epoch is the window
-    ``[epoch, epoch + 1)`` of its :class:`repro.cloud.AccessEvent`\\ s
-    (:meth:`EpochBatch.as_window`); trigger windows hold
-    :class:`repro.cloud.TimedEvent`\\ s.
+    ``duration_months``, reads for the events.  Trigger windows hold an
+    :class:`repro.cloud.EventBlock`; a dense epoch is the window
+    ``[epoch, epoch + 1)`` of its tuple of
+    :class:`repro.cloud.AccessEvent`\\ s (:meth:`EpochBatch.as_window`), and
+    callers may build windows over any tuple of event objects.
+    :attr:`block` is the columnar form either way.
     """
 
     index: int
     start_month: float
     end_month: float
-    events: tuple[TimedEvent | AccessEvent, ...]
+    events: EventBlock | tuple[TimedEvent | AccessEvent, ...]
     cause: str
 
     def __post_init__(self) -> None:
@@ -223,32 +237,39 @@ class StreamWindow:
         if self.end_month < self.start_month:
             raise ValueError("window must not end before it starts")
 
+    @cached_property
+    def block(self) -> EventBlock:
+        """The window's events as one :class:`repro.cloud.EventBlock`."""
+        events = self.events
+        if isinstance(events, EventBlock):
+            return events
+        return EventBlock.from_events(events)
+
     @property
     def duration_months(self) -> float:
         return self.end_month - self.start_month
 
     @property
     def total_reads(self) -> float:
-        return float(sum(event.reads for event in self.events))
+        return self.block.total_reads
 
     def reads_by_partition(self) -> dict[str, float]:
-        """Aggregated read counts per partition for this window."""
-        totals: dict[str, float] = {}
-        for event in self.events:
-            totals[event.partition] = totals.get(event.partition, 0.0) + event.reads
-        return totals
+        """Aggregated read counts per partition, in order of first appearance."""
+        return self.block.reads_by_partition()
 
 
 class TriggerWindow(Protocol):
     """Decides where a continuous event stream is cut into windows.
 
-    The :func:`windowed` driver calls ``open(start)`` when a window opens,
-    then for every event first drains time boundaries **strictly before** the
-    event (``boundary_before`` — lets a pure wall-clock trigger emit empty
-    windows across quiet stretches), appends the event, and asks
-    ``close_after`` whether the window ends **at** this event.  ``cause`` is
-    read right after a trigger fires and names it in the resulting
-    :class:`StreamWindow`.
+    :func:`windowed` calls ``open(start)`` when a window opens and walks each
+    :class:`repro.cloud.EventBlock` from one decision point to the next:
+    ``next_decision`` names the first event the trigger may act on, the
+    events before it are folded in with ``advance``, time boundaries
+    **strictly before** the decision event are drained (``boundary_before``
+    — lets a pure wall-clock trigger emit empty windows across quiet
+    stretches), and ``close_at`` says whether the window ends **at** that
+    event.  ``cause`` is read right after a trigger fires and names it in
+    the resulting :class:`StreamWindow`.
     """
 
     cause: str
@@ -266,17 +287,29 @@ class TriggerWindow(Protocol):
         """
         ...
 
-    def close_after(self, event: TimedEvent) -> float | None:
-        """The close time if this just-appended event completes the window."""
+    def next_decision(self, block: EventBlock, lo: int, hi: int) -> int:
+        """The first position in ``[lo, hi)`` the trigger may act on, or ``hi``.
+
+        Acting means a boundary before that event or a close after it.
+        """
+        ...
+
+    def advance(self, block: EventBlock, lo: int, hi: int) -> None:
+        """Fold the events ``[lo, hi)``, cleared by ``next_decision``, in."""
+        ...
+
+    def close_at(self, block: EventBlock, position: int) -> float | None:
+        """Append the event at ``position``; the close time if it ends the window."""
         ...
 
 
 class CountTrigger:
     """Close a window after ``max_events`` events (cause ``"count"``).
 
-    Events sharing the closing event's exact timestamp stay in the same
-    window (the driver defers a close that would make a zero-width window),
-    so windows always advance the clock.
+    A close that would make a zero-width window (the count is reached on a
+    timestamp tie at the window's start) is deferred by the driver: the
+    window then ends at the first event that advances the clock, so windows
+    always advance it.
     """
 
     cause = "count"
@@ -293,10 +326,16 @@ class CountTrigger:
     def boundary_before(self, t: float) -> float | None:
         return None
 
-    def close_after(self, event: TimedEvent) -> float | None:
+    def next_decision(self, block: EventBlock, lo: int, hi: int) -> int:
+        return min(hi, lo + max(0, self.max_events - self._count - 1))
+
+    def advance(self, block: EventBlock, lo: int, hi: int) -> None:
+        self._count += hi - lo
+
+    def close_at(self, block: EventBlock, position: int) -> float | None:
         self._count += 1
         if self._count >= self.max_events:
-            return event.t
+            return float(block.t[position])
         return None
 
 
@@ -308,7 +347,8 @@ class TimeTrigger:
     ``width_months=1.0`` from ``start_month=0.0`` the boundaries are the
     integers, and the windows reproduce dense epochs **bit-exactly** (adding
     1.0 to an integral float is exact, and dividing counts by a duration of
-    exactly 1.0 is the identity).
+    exactly 1.0 is the identity).  On a block the next boundary is one
+    ``searchsorted`` away.
     """
 
     cause = "time"
@@ -327,7 +367,13 @@ class TimeTrigger:
             return self._deadline
         return None
 
-    def close_after(self, event: TimedEvent) -> float | None:
+    def next_decision(self, block: EventBlock, lo: int, hi: int) -> int:
+        return lo + int(np.searchsorted(block.t[lo:hi], self._deadline, side="left"))
+
+    def advance(self, block: EventBlock, lo: int, hi: int) -> None:
+        pass
+
+    def close_at(self, block: EventBlock, position: int) -> float | None:
         return None
 
 
@@ -339,7 +385,10 @@ class DriftTrigger:
     wide, scores the observed **rates** (counts / elapsed months) against
     ``baseline`` with :func:`repro.engine.policies.drift_score`; at or above
     ``threshold`` the window closes (cause ``"drift"``) so the policy can
-    react *now* instead of at the next grid point.
+    react *now* instead of at the next grid point.  Counts accumulate in
+    event order on a running array (``np.add.at``), and the observed rates
+    are keyed in order of first appearance, so a block-cut window scores
+    exactly as an event-by-event one.
 
     The baseline is what the engine last *planned against*:
     :meth:`repro.engine.OnlineTieringEngine.run_stream` wires
@@ -371,44 +420,73 @@ class DriftTrigger:
         self.baseline_provider = baseline_provider
         self.last_score: float | None = None
         self._start = 0.0
-        self._counts: dict[str, float] = {}
         self._since_check = 0
+        # Rows are assigned to names as they first appear and kept across
+        # windows; only the counts and the appearance order are per window.
+        self._rows = NameRows({}, grow=True)
+        self._names: list[str] = []
+        self._running = np.zeros(0, dtype=np.float64)
+        self._seen = np.zeros(0, dtype=bool)
+        self._order: list[int] = []
 
     def open(self, start_month: float) -> None:
         self._start = start_month
-        self._counts = {}
         self._since_check = 0
+        self._running = np.zeros(len(self._names), dtype=np.float64)
+        self._seen = np.zeros(len(self._names), dtype=bool)
+        self._order = []
 
     def boundary_before(self, t: float) -> float | None:
         return None
 
-    def close_after(self, event: TimedEvent) -> float | None:
-        self._counts[event.partition] = (
-            self._counts.get(event.partition, 0.0) + event.reads
-        )
-        self._since_check += 1
+    def next_decision(self, block: EventBlock, lo: int, hi: int) -> int:
+        return min(hi, lo + self.check_every - self._since_check - 1)
+
+    def advance(self, block: EventBlock, lo: int, hi: int) -> None:
+        if hi <= lo:
+            return
+        rows = self._rows.rows(block.names)[block.pid[lo:hi]]
+        if len(self._rows.index) > len(self._names):
+            self._names = list(self._rows.index)
+            grow = len(self._names) - len(self._running)
+            self._running = np.concatenate((self._running, np.zeros(grow)))
+            self._seen = np.concatenate((self._seen, np.zeros(grow, dtype=bool)))
+        np.add.at(self._running, rows, block.reads[lo:hi])
+        fresh = rows[~self._seen[rows]]
+        if fresh.size:
+            present, first = np.unique(fresh, return_index=True)
+            appeared = present[np.argsort(first)]
+            self._seen[appeared] = True
+            self._order.extend(appeared.tolist())
+        self._since_check += hi - lo
+
+    def close_at(self, block: EventBlock, position: int) -> float | None:
+        self.advance(block, position, position + 1)
         if self._since_check < self.check_every:
             return None
         self._since_check = 0
-        elapsed = event.t - self._start
+        t = float(block.t[position])
+        elapsed = t - self._start
         if elapsed < self.min_width_months:
             return None
         baseline = self.baseline_provider() if self.baseline_provider else None
         if not baseline:
             return None
-        observed = {name: count / elapsed for name, count in self._counts.items()}
+        rates = (self._running[self._order] / elapsed).tolist()
+        names = self._names
+        observed = dict(zip([names[row] for row in self._order], rates))
         self.last_score = drift_score(baseline, observed)
         if self.last_score >= self.threshold:
-            return event.t
+            return t
         return None
 
 
 class AnyTrigger:
     """Compose triggers: the first one to fire closes the window.
 
-    Time boundaries take the earliest deadline across members;
-    ``close_after`` asks members in construction order and adopts the firing
-    member's ``cause``.
+    Time boundaries take the earliest deadline across members; the next
+    decision is the earliest member's; ``close_at`` asks every member in
+    construction order and adopts the first firing member's ``cause``.
     """
 
     def __init__(self, *triggers: TriggerWindow) -> None:
@@ -430,14 +508,55 @@ class AnyTrigger:
                 self.cause = trigger.cause
         return best
 
-    def close_after(self, event: TimedEvent) -> float | None:
+    def next_decision(self, block: EventBlock, lo: int, hi: int) -> int:
+        return min(trigger.next_decision(block, lo, hi) for trigger in self.triggers)
+
+    def advance(self, block: EventBlock, lo: int, hi: int) -> None:
+        for trigger in self.triggers:
+            trigger.advance(block, lo, hi)
+
+    def close_at(self, block: EventBlock, position: int) -> float | None:
         close: float | None = None
         for trigger in self.triggers:
-            fired = trigger.close_after(event)
+            fired = trigger.close_at(block, position)
             if fired is not None and close is None:
                 close = fired
                 self.cause = trigger.cause
         return close
+
+
+def _blocks(events: Iterable[TimedEvent]) -> Iterable[EventBlock]:
+    """A source's native blocks, or its events gathered into blocks."""
+    if isinstance(events, EventBlock):
+        return (events,)
+    blocks = getattr(events, "blocks", None)
+    if callable(blocks):
+        return blocks()
+    return EventBlock.gather(events)
+
+
+def _usable(t: np.ndarray, last_t: float, end: float | None):
+    """How many leading events of a block the driver may cut.
+
+    Returns ``(stop, error)``: events from ``stop`` on are past the horizon
+    or, when ``error`` is set, start with one that goes back in time.
+    """
+    if not len(t):
+        return 0, None
+    previous = np.empty_like(t)
+    previous[0] = last_t
+    previous[1:] = t[:-1]
+    backwards = t < previous
+    halts = backwards if end is None else backwards | (t >= end)
+    hits = np.flatnonzero(halts)
+    if not hits.size:
+        return len(t), None
+    at = int(hits[0])
+    if backwards[at]:
+        return at, ValueError(
+            f"events must be time-ordered: {float(t[at])} after {float(previous[at])}"
+        )
+    return at, None
 
 
 def windowed(
@@ -450,10 +569,16 @@ def windowed(
     """Cut a time-ordered stream of timed events into trigger windows, lazily.
 
     Yields consecutive, gap-free :class:`StreamWindow`\\ s covering
-    ``[start_month, ...)``.  Only the currently open window is held in
-    memory, so a million-event stream costs O(window) RAM.  Validates
-    time-ordering (raises on a backwards event) and that events do not
-    precede ``start_month``.
+    ``[start_month, ...)``, each holding its events as one
+    :class:`repro.cloud.EventBlock`.  ``events`` is a source with native
+    blocks (a ``blocks()`` method, like
+    :class:`repro.workloads.PoissonZipfStream`), a single block, or any
+    iterable of :class:`repro.cloud.TimedEvent`, gathered into blocks by
+    :meth:`repro.cloud.EventBlock.gather`; either way the same driver cuts
+    them.  Only the open window and the current block are held in memory,
+    so a million-event stream costs O(window) RAM.  Validates time-ordering
+    (raises on a backwards event, after yielding the windows that closed
+    before it) and that events do not precede ``start_month``.
 
     With ``horizon_months`` set, events at or past the horizon are ignored,
     remaining time boundaries are drained (empty windows across the quiet
@@ -468,79 +593,73 @@ def windowed(
     """
     index = 0
     start = start_month
-    pending: list[TimedEvent] = []
+    pending: list[EventBlock] = []
+    # An empty window holds an empty slice of the current block.
+    blank = EventBlock.empty()
     last_t = start_month
     end = None if horizon_months is None else start_month + horizon_months
+
+    def close(end_month: float, cause: str, tail: EventBlock | None) -> StreamWindow:
+        nonlocal index, start, pending
+        pieces = pending + [tail] if tail is not None and len(tail) else pending
+        window = StreamWindow(
+            index=index,
+            start_month=start,
+            end_month=end_month,
+            events=EventBlock.concat(pieces) if pieces else blank,
+            cause=cause,
+        )
+        index += 1
+        start = end_month
+        pending = []
+        return window
+
     trigger.open(start)
-    for event in events:
-        if event.t < last_t:
-            raise ValueError(
-                f"events must be time-ordered: {event.t} after {last_t}"
-            )
-        last_t = event.t
-        if end is not None and event.t >= end:
-            break
-        while True:
-            boundary = trigger.boundary_before(event.t)
-            if boundary is None:
+    for block in _blocks(events):
+        blank = block[:0]
+        t = block.t
+        stop, error = _usable(t, last_t, end)
+        if stop:
+            last_t = float(t[stop - 1])
+        # ``first`` is the open window's first event in this block; between
+        # decisions the driver advances over whole runs of events.
+        first = position = 0
+        while position < stop:
+            decision = trigger.next_decision(block, position, stop)
+            trigger.advance(block, position, decision)
+            if decision >= stop:
                 break
-            yield StreamWindow(
-                index=index,
-                start_month=start,
-                end_month=boundary,
-                events=tuple(pending),
-                cause=trigger.cause,
-            )
-            index += 1
-            start = boundary
-            pending = []
-            trigger.open(start)
-        pending.append(event)
-        close = trigger.close_after(event)
-        if close is not None and close > start:
-            yield StreamWindow(
-                index=index,
-                start_month=start,
-                end_month=close,
-                events=tuple(pending),
-                cause=trigger.cause,
-            )
-            index += 1
-            start = close
-            pending = []
-            trigger.open(start)
+            at = float(t[decision])
+            while True:
+                boundary = trigger.boundary_before(at)
+                if boundary is None:
+                    break
+                yield close(boundary, trigger.cause, block[first:decision])
+                first = decision
+                trigger.open(start)
+            closed = trigger.close_at(block, decision)
+            position = decision + 1
+            if closed is not None and closed > start:
+                yield close(closed, trigger.cause, block[first:position])
+                first = position
+                trigger.open(start)
+        if first < stop:
+            pending.append(block[first:stop])
+        if error is not None:
+            raise error
+        if stop < len(t):
+            break
     if end is not None:
         while True:
             boundary = trigger.boundary_before(end)
             if boundary is None or boundary >= end:
                 break
-            yield StreamWindow(
-                index=index,
-                start_month=start,
-                end_month=boundary,
-                events=tuple(pending),
-                cause=trigger.cause,
-            )
-            index += 1
-            start = boundary
-            pending = []
+            yield close(boundary, trigger.cause, None)
             trigger.open(start)
         if pending or start < end:
-            yield StreamWindow(
-                index=index,
-                start_month=start,
-                end_month=end,
-                events=tuple(pending),
-                cause="horizon",
-            )
+            yield close(end, "horizon", None)
     elif pending:
-        yield StreamWindow(
-            index=index,
-            start_month=start,
-            end_month=last_t,
-            events=tuple(pending),
-            cause="flush",
-        )
+        yield close(last_t, "flush", None)
 
 
 def monthly_batches(

@@ -154,9 +154,11 @@ class FleetScheduler:
         self._policy_names: dict[str, str] = {
             spec.name: spec.policy.name for spec in self.tenants
         }
-        # Streams for tenants joined mid-run (chaos TenantJoin): step_epoch
-        # pulls their batches itself since run()'s iterators predate them.
-        self._chaos_streams: dict[str, object] = {}
+        # Streams for tenants joined mid-run (chaos TenantJoin), as
+        # [iterator, batch pulled ahead of its window or None]: every window
+        # pulls the batches its span covers (see _join_window), since the
+        # caller's batches and streams predate the joiner.
+        self._chaos_streams: dict[str, list] = {}
         self._pool_records: list[PoolUsageRecord] = []
         # Incremental fleet solves: one DeltaSolver across epochs, keyed by
         # tenant-tagged names so the varying firing subsets merge into a
@@ -228,10 +230,11 @@ class FleetScheduler:
 
         The spec is validated exactly as at construction (unique never-used
         name, unshared policy, fleet-identical pricing).  ``stream`` supplies
-        the tenant's epoch batches when the fleet is driven through
-        :meth:`run` — its batches must continue the fleet's current epoch
-        numbering; callers driving :meth:`step_epoch` directly may instead
-        include the tenant in their own ``batches`` mapping.
+        the tenant's epoch batches — its batches must continue the fleet's
+        current epoch numbering.  While the tenant is missing from a step's
+        mapping, each window receives the batches whose epochs its span
+        covers (see :meth:`step_window`); callers stepping the fleet
+        directly may instead include the tenant in their own mapping.
         """
         if spec.name in self._records:
             raise ValueError(
@@ -249,7 +252,7 @@ class FleetScheduler:
         self._records[spec.name] = []
         self._policy_names[spec.name] = spec.policy.name
         if stream is not None:
-            self._chaos_streams[spec.name] = iter(stream)
+            self._chaos_streams[spec.name] = [iter(stream), None]
         return engine
 
     def remove_tenant(self, name: str) -> None:
@@ -484,10 +487,11 @@ class FleetScheduler:
             # Runs after the chaos hook, so tenants it just admitted are
             # pulled from their join streams for this very epoch.
             windows = {name: batch.as_window() for name, batch in batches.items()}
-            for name, iterator in list(self._chaos_streams.items()):
-                if name not in windows:
-                    batch = next(iterator, None) or EpochBatch(epoch=epoch, events=())
-                    windows[name] = batch.as_window()
+            for name in order:
+                if name not in windows and name in self._chaos_streams:
+                    windows[name] = self._join_window(
+                        name, epoch, float(epoch), float(epoch + 1), "time"
+                    )
             missing = [name for name in order if name not in windows]
             if missing:
                 raise KeyError(f"batches missing tenants: {missing}")
@@ -501,10 +505,12 @@ class FleetScheduler:
         All provided windows must share the same ``(index, start, end)`` span
         — the fleet closes its windows on one shared trigger over the
         *merged* tenant stream (see :meth:`run_streams`), so tenants stay
-        lock-stepped exactly as on the monthly grid.  Live tenants missing
-        from ``windows`` (e.g. just admitted by a chaos ``TenantJoin``, whose
-        dense spec streams have no place on a trigger-windowed timeline)
-        settle an empty window: storage accrues, no reads.
+        lock-stepped exactly as on the monthly grid.  A tenant joined mid-run
+        (chaos ``TenantJoin``) that is missing from ``windows`` receives, as
+        this window's events, every pending batch of its join stream whose
+        epoch ``e`` satisfies ``start <= e < end``; its stream is dropped
+        once exhausted.  Any other live tenant missing from ``windows``
+        settles an empty window: storage accrues, no reads.
 
         A window closed by a drift trigger (``cause == "drift"``) forces
         every tenant to re-optimize: the shared trigger detected fleet-level
@@ -522,14 +528,66 @@ class FleetScheduler:
             )
         index, start, end = spans.pop()
         cause = next(iter(windows.values())).cause
+        self._step_windows(index, start, end, cause, windows)
+
+    def _step_windows(
+        self,
+        index: int,
+        start: float,
+        end: float,
+        cause: str,
+        windows: Mapping[str, StreamWindow],
+    ) -> None:
+        """:meth:`step_window` for a validated span; ``windows`` may be empty."""
 
         def complete(order: Sequence[str]) -> dict[str, StreamWindow]:
             empty = StreamWindow(
                 index=index, start_month=start, end_month=end, events=(), cause=cause
             )
-            return {name: windows.get(name, empty) for name in order}
+            completed = {}
+            for name in order:
+                if name in windows:
+                    completed[name] = windows[name]
+                elif name in self._chaos_streams:
+                    completed[name] = self._join_window(name, index, start, end, cause)
+                else:
+                    completed[name] = empty
+            return completed
 
         self._step(index, start, end, cause, complete)
+
+    def _join_window(
+        self, name: str, index: int, start: float, end: float, cause: str
+    ) -> StreamWindow:
+        """A joiner's window: its pending join batches with epochs in ``[start, end)``.
+
+        A batch due at or after ``end`` is held for a later window; the
+        stream is dropped once exhausted.
+        """
+        feed = self._chaos_streams[name]
+        events: list = []
+        while True:
+            batch = feed[1] if feed[1] is not None else next(feed[0], None)
+            feed[1] = None
+            if batch is None:
+                del self._chaos_streams[name]
+                break
+            if batch.epoch >= end:
+                feed[1] = batch
+                break
+            if batch.epoch < start:
+                raise ValueError(
+                    f"join stream of tenant {name!r} yielded epoch {batch.epoch} "
+                    f"after the fleet reached month {start}"
+                )
+            events.extend(batch.events)
+        return StreamWindow(
+            index=index,
+            start_month=start,
+            end_month=end,
+            events=tuple(events),
+            cause=cause,
+        )
 
     def _step(
         self,
@@ -670,7 +728,15 @@ class FleetScheduler:
             per_tenant: dict[str, list[TimedEvent]] = {}
             for event in window.events:
                 per_tenant.setdefault(event.tenant, []).append(event)
-            self.step_window(
+            # The span comes from the merged window, so the fleet steps even
+            # when no streamed tenant is live any more; the live roster is
+            # read at window close, and joiners (no stream here) are fed
+            # from their join streams.
+            self._step_windows(
+                window.index,
+                window.start_month,
+                window.end_month,
+                window.cause,
                 {
                     name: StreamWindow(
                         index=window.index,
@@ -679,10 +745,8 @@ class FleetScheduler:
                         events=tuple(per_tenant.get(name, ())),
                         cause=window.cause,
                     )
-                    # Live roster at window close: join/leave may have changed
-                    # it mid-run, and step_window fills any later joiners.
-                    for name in (spec.name for spec in self.tenants)
-                }
+                    for name in streams
+                },
             )
         return self.report()
 

@@ -1,10 +1,10 @@
-"""Continuous high-volume event streams (ROADMAP item 2, Icarus workload idiom).
+"""Continuous high-volume event streams (Icarus workload idiom, columnar unit).
 
 The monthly generators in :mod:`repro.workloads.access_logs` materialize a
 full read-count series up front; fine at a 6–24 month horizon, hopeless at
-"millions of users".  This module instead produces **iterables of timestamped
-events** (:class:`repro.cloud.TimedEvent`) that are generated on the fly, so
-memory stays flat no matter how many events the horizon holds:
+"millions of users".  This module instead produces **streams of timestamped
+events** that are generated on the fly, so memory stays flat no matter how
+many events the horizon holds:
 
 * :class:`PoissonZipfStream` — Poisson arrivals at a configurable rate with
   Zipf popularity over partitions, optionally modulated by a time-varying
@@ -16,10 +16,20 @@ memory stays flat no matter how many events the horizon holds:
   time-ordered stream (e.g. one stream per tenant with
   :func:`tenant_rate_skew` rates).
 
-Every stream is **re-iterable**: each ``__iter__`` call re-derives its RNG
-from the stored seed, so two passes over the same stream object yield the
-identical sequence (the property the engine's oracle-equivalence tests and
-the benchmark's dense-replay comparison rely on).
+The unit a generator produces is the :class:`repro.cloud.EventBlock`: numpy
+columns ``t``, ``pid`` and ``reads`` over the stream's partition-name
+tuple.  :meth:`PoissonZipfStream.blocks` yields one block per generated
+chunk, and :func:`repro.engine.windowed` cuts those blocks directly.
+:class:`repro.cloud.TimedEvent` survives as the edge adapter: iterating a
+stream yields its events one object at a time (what heap merges, CSV
+writers and the dense monthly replay consume), and the window driver
+gathers any such iterable back into blocks.
+
+Every stream is **re-iterable**: each ``blocks()``/``__iter__`` call
+re-derives its RNG from the stored seed, so two passes over the same stream
+object yield the identical sequence (the property the engine's
+oracle-equivalence tests and the benchmark's dense-replay comparison rely
+on).
 
 Virtual time is measured in fractional **months** — the billing unit every
 catalog price is quoted against.  A "day" is ``1/30`` month; the default
@@ -32,12 +42,13 @@ import csv
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..cloud import TimedEvent
+from ..cloud import EventBlock, TimedEvent
 
 __all__ = [
     "RateModulation",
@@ -151,10 +162,12 @@ class PoissonZipfStream:
     Events arrive as a Poisson process at ``rate_per_month`` (optionally
     modulated — see :class:`RateModulation`); each event reads one partition
     drawn from a Zipf(``zipf_exponent``) popularity distribution whose rank
-    order is a seeded shuffle of ``partitions``.  Iteration yields
-    :class:`repro.cloud.TimedEvent` in non-decreasing time order and keeps
-    only one chunk (default 8192 candidate arrivals) in memory at a time, so
-    a billion-event horizon costs the same RAM as a thousand-event one.
+    order is a seeded shuffle of ``partitions``.  :meth:`blocks` yields one
+    :class:`repro.cloud.EventBlock` per chunk (default 8192 candidate
+    arrivals) in non-decreasing time order, and iteration yields the same
+    events as :class:`repro.cloud.TimedEvent`\\ s; only one chunk is in
+    memory at a time, so a billion-event horizon costs the same RAM as a
+    thousand-event one.
 
     Arrivals under a modulated rate use Lewis–Shedler thinning: candidates
     are drawn at the envelope rate ``rate_per_month * modulation.ceiling``
@@ -225,9 +238,14 @@ class PoissonZipfStream:
         """Mean number of events over the horizon at the *base* rate."""
         return self.rate_per_month * self.horizon_months
 
-    def __iter__(self) -> Iterator[TimedEvent]:
-        # A fresh generator per pass, derived from the stored seed, makes the
-        # stream re-iterable with an identical sequence.
+    def blocks(self) -> Iterator[EventBlock]:
+        """The stream as :class:`repro.cloud.EventBlock`\\ s, one per generated chunk.
+
+        Every block shares the ``partitions`` tuple as its ``names`` and
+        carries the stream's ``tenant`` tag.  A fresh generator per pass,
+        derived from the stored seed, makes the stream re-iterable with an
+        identical sequence.
+        """
         rng = np.random.default_rng(
             np.random.SeedSequence([self.seed, 0xA11CE]).generate_state(4)
         )
@@ -235,9 +253,6 @@ class PoissonZipfStream:
         envelope_rate = self.rate_per_month * ceiling
         end = self.start_month + self.horizon_months
         t = self.start_month
-        names = self.partitions
-        reads = self.reads_per_event
-        tenant = self.tenant
         while t < end:
             gaps = rng.exponential(1.0 / envelope_rate, size=self.chunk_size)
             times = t + np.cumsum(gaps)
@@ -256,10 +271,17 @@ class PoissonZipfStream:
             choices = np.searchsorted(
                 self._cumulative, rng.uniform(size=times.size), side="right"
             )
-            for when, index in zip(times.tolist(), choices.tolist()):
-                yield TimedEvent(
-                    t=when, partition=names[index], reads=reads, tenant=tenant
-                )
+            yield EventBlock(
+                times,
+                choices.astype(np.int32),
+                np.full(times.size, self.reads_per_event),
+                self.partitions,
+                self.tenant,
+            )
+
+    def __iter__(self) -> Iterator[TimedEvent]:
+        """The edge adapter: the events of :meth:`blocks`, one at a time."""
+        return chain.from_iterable(self.blocks())
 
 
 # ---------------------------------------------------------------------------

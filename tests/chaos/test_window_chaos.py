@@ -14,13 +14,17 @@ from repro.chaos import (
     PriceShock,
     ProviderOutage,
     ProviderRecovery,
+    TenantJoin,
+    TenantLeave,
 )
 from repro.cloud import DataPartition, TimedEvent, multi_cloud_catalog
 from repro.engine import (
     CountTrigger,
     EngineConfig,
+    EpochBatch,
     OnlineTieringEngine,
     PeriodicReoptimize,
+    StreamWindow,
     TimeTrigger,
     monthly_batches,
 )
@@ -209,3 +213,127 @@ class TestFleetWindowChaos:
             streams, TimeTrigger(1.0), horizon_months=float(MONTHS)
         )
         assert windowed_report.total_bill == dense.total_bill
+
+
+class TestWindowedTenantJoin:
+    """A TenantJoin on a windowed fleet run feeds the joiner its join stream."""
+
+    @staticmethod
+    def schedule():
+        joiner = TenantSpec(
+            name="initech",
+            partitions=make_partitions(prefix="initech_"),
+            policy=PeriodicReoptimize(2),
+            # Exactly the months the joiner is live for: the stream runs out
+            # in the last window.
+            stream=monthly_batches(
+                make_stream(prefix="initech_", seed=8), num_epochs=MONTHS - 2
+            ),
+            config=EngineConfig(),
+        )
+        return DisruptionSchedule([TenantJoin(epoch=2, spec=joiner)])
+
+    @staticmethod
+    def billed(record):
+        return (
+            record.storage_cost,
+            record.read_cost,
+            record.decompression_cost,
+            record.migration_cost,
+            record.early_deletion_penalty,
+            record.num_moved,
+            record.moved_gb,
+            record.access_count,
+            record.latency_violations,
+            record.reoptimized,
+        )
+
+    def test_joiner_bills_like_the_dense_run(self):
+        self.assert_bills_like_the_dense_run(self.schedule)
+
+    def test_fleet_keeps_stepping_after_every_original_tenant_leaves(self):
+        # Once only the joiner is live, no streamed tenant is left to carry
+        # the merged window's span into the fleet step.
+        def schedule():
+            return DisruptionSchedule(
+                [
+                    *self.schedule().events,
+                    TenantLeave(epoch=3, tenant="acme"),
+                    TenantLeave(epoch=4, tenant="globex"),
+                ]
+            )
+
+        report = self.assert_bills_like_the_dense_run(schedule)
+        assert len(report.tenant_reports["acme"].records) == 3
+        assert len(report.tenant_reports["globex"].records) == 4
+
+    def assert_bills_like_the_dense_run(self, schedule):
+        """Dense and windowed runs, each with a fresh ``schedule()``."""
+        fleet = TestFleetWindowChaos()
+        streams = fleet.fleet_streams()
+        dense_specs = [
+            TenantSpec(
+                name=name,
+                partitions=make_partitions(prefix=f"{name}_"),
+                policy=PeriodicReoptimize(2),
+                stream=monthly_batches(streams[name], num_epochs=MONTHS),
+                config=EngineConfig(),
+            )
+            for name in ("acme", "globex")
+        ]
+        dense = FleetScheduler(
+            dense_specs, multi_cloud_catalog(), chaos=ChaosInjector(schedule())
+        ).run(num_epochs=MONTHS)
+
+        scheduler, _ = fleet.make_scheduler(schedule())
+        windowed_report = scheduler.run_streams(
+            streams, TimeTrigger(1.0), horizon_months=float(MONTHS)
+        )
+
+        assert sorted(windowed_report.tenant_reports) == ["acme", "globex", "initech"]
+        for name, dense_report in dense.tenant_reports.items():
+            assert [
+                self.billed(record)
+                for record in windowed_report.tenant_reports[name].records
+            ] == [self.billed(record) for record in dense_report.records]
+        joined = windowed_report.tenant_reports["initech"].records
+        assert len(joined) == MONTHS - 2
+        assert all(record.access_count > 0 for record in joined)
+        # The exhausted join stream is not held for the rest of the run.
+        assert scheduler._chaos_streams == {}
+        return windowed_report
+
+    def test_stale_join_batch_is_rejected(self):
+        scheduler, _ = TestFleetWindowChaos().make_scheduler(None)
+        streams = TestFleetWindowChaos().fleet_streams()
+        for window in range(2):
+            scheduler.step_window(
+                {
+                    name: StreamWindow(
+                        index=window,
+                        start_month=float(window),
+                        end_month=window + 1.0,
+                        events=(),
+                        cause="time",
+                    )
+                    for name in streams
+                }
+            )
+        late = TenantSpec(
+            name="initech",
+            partitions=make_partitions(prefix="initech_"),
+            policy=PeriodicReoptimize(2),
+            # Numbered from epoch 0 although the fleet is at month 2.
+            stream=[EpochBatch(epoch=0, events=())],
+            config=EngineConfig(),
+        )
+        scheduler.add_tenant(late, stream=late.stream)
+        with pytest.raises(ValueError, match="epoch 0"):
+            scheduler.step_window(
+                {
+                    name: StreamWindow(
+                        index=2, start_month=2.0, end_month=3.0, events=(), cause="time"
+                    )
+                    for name in streams
+                }
+            )

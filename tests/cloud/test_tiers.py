@@ -51,6 +51,27 @@ class TestStorageTier:
         with pytest.raises(ValueError):
             make_tier(storage=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("storage_cost", {"storage": math.nan}),
+            ("read_cost", {"read": math.nan}),
+            ("write_cost", {"write": math.inf}),
+            ("latency_s", {"latency": math.nan}),
+            ("early_deletion_months", {"early_deletion_months": math.inf}),
+            ("slo_latency_s", {"slo_latency_s": math.nan}),
+            ("capacity_gb", {"capacity_gb": math.nan}),
+        ],
+    )
+    def test_non_finite_fields_rejected_by_name(self, field, kwargs):
+        with pytest.raises(ValueError, match=field):
+            make_tier(**kwargs)
+
+    def test_unbounded_capacity_and_missing_slo_still_accepted(self):
+        tier = make_tier(capacity_gb=math.inf, slo_latency_s=None)
+        assert math.isinf(tier.capacity_gb)
+        assert tier.effective_slo_s == tier.latency_s
+
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             make_tier().storage_cost_for(-1.0, 1.0)
